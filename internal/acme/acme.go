@@ -11,6 +11,7 @@ package acme
 import (
 	"context"
 	"encoding/base64"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -549,7 +550,7 @@ func (s *Server) validateHTTP01(ctx context.Context, hostname, token string) err
 // and POST /acme/finalize with JSON bodies.
 func (s *Server) Handle(conn net.Conn) {
 	defer conn.Close()
-	req, err := httpsim.ReadRequest(newReader(conn))
+	req, err := httpsim.ReadRequestConn(conn)
 	if err != nil {
 		return
 	}
@@ -612,12 +613,8 @@ func parseKey(req OrderRequest) (cert.PublicKey, error) {
 	if len(raw) != len(id)*2 {
 		return cert.PublicKey{}, fmt.Errorf("acme: key id must be %d hex chars", len(id)*2)
 	}
-	for i := 0; i < len(id); i++ {
-		var b byte
-		if _, err := fmt.Sscanf(raw[i*2:i*2+2], "%02x", &b); err != nil {
-			return cert.PublicKey{}, fmt.Errorf("acme: bad key id: %w", err)
-		}
-		id[i] = b
+	if _, err := hex.Decode(id[:], []byte(raw)); err != nil {
+		return cert.PublicKey{}, fmt.Errorf("acme: bad key id: %w", err)
 	}
 	t := cert.KeyRSA
 	if strings.EqualFold(req.KeyType, "EC") {

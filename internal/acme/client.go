@@ -1,12 +1,10 @@
 package acme
 
 import (
-	"bufio"
 	"context"
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
-	"net"
 	"net/netip"
 	"sort"
 	"time"
@@ -14,8 +12,6 @@ import (
 	"repro/internal/cert"
 	"repro/internal/httpsim"
 )
-
-func newReader(conn net.Conn) *bufio.Reader { return bufio.NewReader(conn) }
 
 // Client drives the certbot side of the flow: order, provision the http-01
 // tokens on the web server, finalize, parse the chain.

@@ -1,6 +1,7 @@
 package cert
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"sync"
 )
@@ -23,7 +24,9 @@ func NewChainCache() *ChainCache {
 
 // Parse decodes a chain payload, returning the cached chain when the same
 // bytes have been seen before. Returned chains are frozen and shared;
-// callers must treat them as read-only.
+// callers must treat them as read-only. Parse does not retain payload:
+// ParseChain keeps slices of the bytes it parses, so a miss parses a copy,
+// and callers may reuse the payload buffer as soon as Parse returns.
 func (cc *ChainCache) Parse(payload []byte) ([]*Certificate, error) {
 	key := sha256.Sum256(payload)
 	cc.mu.RLock()
@@ -32,7 +35,7 @@ func (cc *ChainCache) Parse(payload []byte) ([]*Certificate, error) {
 	if ok {
 		return chain, nil
 	}
-	chain, err := ParseChain(payload)
+	chain, err := ParseChain(bytes.Clone(payload))
 	if err != nil {
 		return nil, err
 	}

@@ -5,7 +5,6 @@
 package crawler
 
 import (
-	"bufio"
 	"context"
 	"net/netip"
 	"sort"
@@ -224,10 +223,7 @@ func (f *WebFetcher) getHTTP(ctx context.Context, ip netip.Addr, hostname string
 		return nil, false, err
 	}
 	defer conn.Close()
-	if err := httpsim.WriteRequest(conn, "GET", hostname, "/"); err != nil {
-		return nil, false, err
-	}
-	resp, err := httpsim.ReadResponse(bufio.NewReader(conn))
+	resp, err := httpsim.Get(conn, hostname, "/")
 	if err != nil {
 		return nil, false, err
 	}

@@ -49,11 +49,17 @@ var LongRunningPackages = []string{
 }
 
 // HotPathFuncs is the declared zero-alloc hot set hotalloc enforces: the
-// httpsim wire codecs, the scanner probe loop and zero-copy JSON
-// exporter, the cert fingerprint/base64 encoders, and the result-set
-// build. Additions here are a reviewed contract — a function joins the
-// hot set when a bench gate depends on its allocation behavior.
+// simulated connection substrate (simnet pipe buffers, the tlssim record
+// reader and application-data reads), the httpsim wire codecs, the
+// scanner probe loop and zero-copy JSON exporter, the cert
+// fingerprint/base64 encoders, and the result-set build. Additions here
+// are a reviewed contract — a function joins the hot set when a bench
+// gate depends on its allocation behavior.
 var HotPathFuncs = []string{
+	"repro/internal/simnet.pipeBuffer.read",
+	"repro/internal/simnet.pipeBuffer.write",
+	"repro/internal/tlssim.recordReader.*",
+	"repro/internal/tlssim.Conn.Read",
 	"repro/internal/httpsim.Read*",
 	"repro/internal/httpsim.Write*",
 	"repro/internal/httpsim.readPooled",

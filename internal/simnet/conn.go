@@ -3,29 +3,27 @@ package simnet
 import (
 	"io"
 	"net"
+	"net/netip"
 	"os"
 	"sync"
 	"time"
 )
 
 // pipeBuffer is one direction of an in-memory connection: a byte queue with
-// blocking reads, close semantics and deadline support.
+// blocking reads, close semantics and deadline support. Reads consume from
+// buf[off:]; once drained the queue rewinds to buf[:0], so later writes
+// reuse the backing array instead of growing a fresh one.
 type pipeBuffer struct {
 	mu       sync.Mutex
-	cond     *sync.Cond
+	cond     sync.Cond // L is &mu
 	buf      []byte
+	off      int   // read offset into buf
 	closed   bool  // no more writes will arrive
 	readErr  error // error overriding normal reads (e.g. reset)
 	limited  bool  // deliver at most `limit` more bytes, then EOF
 	limit    int
 	deadline time.Time
 	timer    *time.Timer
-}
-
-func newPipeBuffer() *pipeBuffer {
-	b := &pipeBuffer{}
-	b.cond = sync.NewCond(&b.mu)
-	return b
 }
 
 func (b *pipeBuffer) write(p []byte) (int, error) {
@@ -61,9 +59,12 @@ func (b *pipeBuffer) read(p []byte) (int, error) {
 		if b.readErr != nil {
 			return 0, b.readErr
 		}
-		if len(b.buf) > 0 {
-			n := copy(p, b.buf)
-			b.buf = b.buf[n:]
+		if b.off < len(b.buf) {
+			n := copy(p, b.buf[b.off:])
+			b.off += n
+			if b.off == len(b.buf) {
+				b.buf, b.off = b.buf[:0], 0
+			}
 			return n, nil
 		}
 		if b.closed {
@@ -139,16 +140,35 @@ type Conn struct {
 	peer      *Conn
 }
 
+// pipe is everything one connection needs, in a single allocation: both
+// directions' buffers, both ends, and (for dialed pipes) the endpoint
+// addresses the ends report.
+type pipe struct {
+	c2s, s2c       pipeBuffer
+	client, server Conn
+	addrs          [2]Addr
+}
+
+// init wires the pipe's buffers and ends together.
+func (p *pipe) init(clientAddr, serverAddr net.Addr) (client, server *Conn) {
+	p.c2s.cond.L = &p.c2s.mu
+	p.s2c.cond.L = &p.s2c.mu
+	p.client = Conn{readBuf: &p.s2c, writeBuf: &p.c2s, local: clientAddr, remote: serverAddr, peer: &p.server}
+	p.server = Conn{readBuf: &p.c2s, writeBuf: &p.s2c, local: serverAddr, remote: clientAddr, peer: &p.client}
+	return &p.client, &p.server
+}
+
 // Pipe creates a connected pair of in-memory connections with the given
 // endpoint addresses.
 func Pipe(clientAddr, serverAddr net.Addr) (client, server *Conn) {
-	c2s := newPipeBuffer()
-	s2c := newPipeBuffer()
-	client = &Conn{readBuf: s2c, writeBuf: c2s, local: clientAddr, remote: serverAddr}
-	server = &Conn{readBuf: c2s, writeBuf: s2c, local: serverAddr, remote: clientAddr}
-	client.peer = server
-	server.peer = client
-	return client, server
+	return new(pipe).init(clientAddr, serverAddr)
+}
+
+// dialPipe is Pipe for Dial: the addresses are stored inside the pipe, so
+// reporting them costs no further allocation.
+func dialPipe(clientAP, serverAP netip.AddrPort) (client, server *Conn) {
+	p := &pipe{addrs: [2]Addr{{clientAP}, {serverAP}}}
+	return p.init(&p.addrs[0], &p.addrs[1])
 }
 
 // Read implements net.Conn.

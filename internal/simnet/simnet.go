@@ -33,6 +33,9 @@ var (
 	ErrFirewalled  = errors.New("simnet: blocked by national firewall")
 )
 
+// clientIP is the source address every dialed connection reports.
+var clientIP = netip.MustParseAddr("10.0.0.1")
+
 // ErrFirewallTimeout is what a censored dial fails with: it classifies as
 // a timeout (on the wire, censorship is indistinguishable from packet
 // loss, §7.1.2) while staying identifiable as a deterministic block via
@@ -317,8 +320,7 @@ func (n *Network) Dial(ctx context.Context, fromVantage string, ep netip.AddrPor
 		n.nextPort = 40000
 	}
 	n.mu.Unlock()
-	clientAddr := Addr{netip.AddrPortFrom(netip.MustParseAddr("10.0.0.1"), clientPort)}
-	client, server := Pipe(clientAddr, Addr{ep})
+	client, server := dialPipe(netip.AddrPortFrom(clientIP, clientPort), ep)
 
 	switch spec.Mode {
 	case FaultReset:
@@ -338,10 +340,7 @@ func (n *Network) Dial(ctx context.Context, fromVantage string, ep netip.AddrPor
 	}
 
 	if h != nil {
-		go func() {
-			h(server)
-			server.Close()
-		}()
+		serveConn(h, server)
 		return client, nil
 	}
 

@@ -1,8 +1,9 @@
 package tlssim
 
 import (
-	"bufio"
+	"bytes"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"time"
@@ -104,18 +105,39 @@ type ConnectionState struct {
 // It implements net.Conn.
 type Conn struct {
 	raw      net.Conn
-	br       *bufio.Reader
+	rec      recordReader
 	state    ConnectionState
-	readRest []byte
+	readRest []byte // unread application data, aliasing rec's buffers
+}
+
+// newConn wraps raw before the handshake, whose records it reads.
+func newConn(raw net.Conn) *Conn {
+	c := &Conn{raw: raw}
+	c.rec.r = raw
+	return c
 }
 
 // ConnectionState returns the negotiated parameters.
 func (c *Conn) ConnectionState() ConnectionState { return c.state }
 
 // Read implements net.Conn, delivering application-data payload bytes.
+// An application-data record that fits in p is read straight into it.
 func (c *Conn) Read(p []byte) (int, error) {
 	for len(c.readRest) == 0 {
-		typ, _, payload, err := readRecord(c.br)
+		typ, _, n, err := c.rec.header()
+		if err != nil {
+			return 0, err
+		}
+		if typ == recordAppData && n <= len(p) {
+			if _, err := io.ReadFull(c.raw, p[:n]); err != nil {
+				return 0, err
+			}
+			if n > 0 {
+				return n, nil
+			}
+			continue
+		}
+		payload, err := c.rec.payload(n)
 		if err != nil {
 			return 0, err
 		}
@@ -183,10 +205,10 @@ func ClientHandshake(raw net.Conn, cfg *ClientConfig) (*Conn, error) {
 	if err := writeRecord(raw, recordHandshake, cfg.MaxVersion, hello.marshal()); err != nil {
 		return nil, fmt.Errorf("tlssim: sending ClientHello: %w", err)
 	}
-	br := bufio.NewReader(raw)
+	c := newConn(raw)
 
 	// ServerHello.
-	typ, recVer, payload, err := readRecord(br)
+	typ, recVer, payload, err := c.rec.next()
 	if err != nil {
 		return nil, fmt.Errorf("tlssim: reading ServerHello: %w", err)
 	}
@@ -210,8 +232,10 @@ func ClientHandshake(raw net.Conn, cfg *ClientConfig) (*Conn, error) {
 		return nil, ErrUnsupportedProtocol
 	}
 
-	// Certificate.
-	typ, _, payload, err = readRecord(br)
+	// Certificate. The payload aliases the record buffer the connection
+	// reuses, while a parsed chain keeps slices of the bytes it parsed: the
+	// cache copies on a miss, and the uncached parse gets its own copy.
+	typ, _, payload, err = c.rec.next()
 	if err != nil {
 		return nil, fmt.Errorf("tlssim: reading Certificate: %w", err)
 	}
@@ -222,14 +246,14 @@ func ClientHandshake(raw net.Conn, cfg *ClientConfig) (*Conn, error) {
 	if cfg.ChainCache != nil {
 		chain, err = cfg.ChainCache.Parse(payload[1:])
 	} else {
-		chain, err = cert.ParseChain(payload[1:])
+		chain, err = cert.ParseChain(bytes.Clone(payload[1:]))
 	}
 	if err != nil {
 		return nil, fmt.Errorf("tlssim: parsing certificate chain: %w", err)
 	}
 
 	// Finished.
-	typ, _, payload, err = readRecord(br)
+	typ, _, payload, err = c.rec.next()
 	if err != nil {
 		return nil, fmt.Errorf("tlssim: reading Finished: %w", err)
 	}
@@ -237,15 +261,12 @@ func ClientHandshake(raw net.Conn, cfg *ClientConfig) (*Conn, error) {
 		return nil, ErrHandshakeState
 	}
 
-	return &Conn{
-		raw: raw,
-		br:  br,
-		state: ConnectionState{
-			Version:    sh.Version,
-			Chain:      chain,
-			ServerName: cfg.ServerName,
-		},
-	}, nil
+	c.state = ConnectionState{
+		Version:    sh.Version,
+		Chain:      chain,
+		ServerName: cfg.ServerName,
+	}
+	return c, nil
 }
 
 // handshakeDeadline computes the absolute deadline bounding the handshake,
@@ -272,8 +293,8 @@ func (cfg *ClientConfig) handshakeDeadline() (time.Time, bool) {
 // ServerHandshake performs the server side of the handshake over raw,
 // applying the configured quirk.
 func ServerHandshake(raw net.Conn, cfg *ServerConfig) (*Conn, error) {
-	br := bufio.NewReader(raw)
-	typ, _, payload, err := readRecord(br)
+	c := newConn(raw)
+	typ, _, payload, err := c.rec.next()
 	if err != nil {
 		return nil, fmt.Errorf("tlssim: reading ClientHello: %w", err)
 	}
@@ -301,42 +322,42 @@ func ServerHandshake(raw net.Conn, cfg *ServerConfig) (*Conn, error) {
 	}
 
 	version := negotiate(ch, cfg)
-	recVersion := version
-	if cfg.Quirk == QuirkWrongVersionNumber {
-		recVersion = Version(0x4a4a) // garbage record version
-	}
-	if err := writeRecord(raw, recordHandshake, recVersion, serverHello{Version: version}.marshal()); err != nil {
-		return nil, err
-	}
-	if cfg.Quirk == QuirkWrongVersionNumber {
+	hello := serverHello{Version: version}.marshal()
+	switch cfg.Quirk {
+	case QuirkWrongVersionNumber:
 		// The client will abort after the malformed record.
+		if err := writeRecord(raw, recordHandshake, Version(0x4a4a), hello); err != nil {
+			return nil, err
+		}
 		return nil, ErrWrongVersionNumber
-	}
-	if cfg.Quirk == QuirkSSLv2Only {
+	case QuirkSSLv2Only:
 		// The client rejects the SSLv2 selection; nothing more to send.
+		if err := writeRecord(raw, recordHandshake, version, hello); err != nil {
+			return nil, err
+		}
 		return nil, ErrUnsupportedProtocol
-	}
-	if cfg.Quirk == QuirkTruncateHandshake {
+	case QuirkTruncateHandshake:
 		// Tear the connection down where the Certificate should follow.
+		if err := writeRecord(raw, recordHandshake, version, hello); err != nil {
+			return nil, err
+		}
 		raw.Close()
 		return nil, ErrHandshakeTruncated
+	default:
+		// QuirkNone; the alert quirks returned above.
 	}
 
-	if err := writeRecord(raw, recordHandshake, version, cfg.certMessage()); err != nil {
+	// A healthy server sends ServerHello, Certificate and Finished as one
+	// flight in a single write.
+	if err := writeRecords(raw, recordHandshake, version, hello, cfg.certMessage(), finishedMsg); err != nil {
 		return nil, err
 	}
-	if err := writeRecord(raw, recordHandshake, version, []byte{msgFinished}); err != nil {
-		return nil, err
+	c.state = ConnectionState{
+		Version:    version,
+		Chain:      cfg.Chain,
+		ServerName: ch.ServerName,
 	}
-	return &Conn{
-		raw: raw,
-		br:  br,
-		state: ConnectionState{
-			Version:    version,
-			Chain:      cfg.Chain,
-			ServerName: ch.ServerName,
-		},
-	}, nil
+	return c, nil
 }
 
 // negotiate picks the protocol version the server answers with.

@@ -118,7 +118,7 @@ func (e AlertError) Error() string {
 
 const maxRecordLen = 1 << 20
 
-// recordBufPool recycles the framing buffers writeRecord serializes into.
+// recordBufPool recycles the framing buffers writeRecords serializes into.
 // The buffer is handed to w.Write and returned to the pool immediately
 // after, which is safe because Write implementations must not retain p
 // (simnet copies into the pipe buffer before returning).
@@ -126,32 +126,83 @@ var recordBufPool = sync.Pool{
 	New: func() any { b := make([]byte, 0, 4096); return &b },
 }
 
+// finishedMsg is the Finished handshake message.
+var finishedMsg = []byte{msgFinished}
+
 // writeRecord frames one record.
 func writeRecord(w io.Writer, typ uint8, ver Version, payload []byte) error {
-	if len(payload) > maxRecordLen {
-		return ErrRecordOversize
+	return writeRecords(w, typ, ver, payload)
+}
+
+// writeRecords frames each payload as one record of the given type and
+// version, and sends them all in a single write.
+func writeRecords(w io.Writer, typ uint8, ver Version, payloads ...[]byte) error {
+	for _, p := range payloads {
+		if len(p) > maxRecordLen {
+			return ErrRecordOversize
+		}
 	}
 	bp := recordBufPool.Get().(*[]byte)
 	b := (*bp)[:0]
-	b = append(b, typ, byte(ver>>8), byte(ver), byte(len(payload)>>8), byte(len(payload)))
-	b = append(b, payload...)
+	for _, p := range payloads {
+		b = append(b, typ, byte(ver>>8), byte(ver), byte(len(p)>>8), byte(len(p)))
+		b = append(b, p...)
+	}
 	_, err := w.Write(b)
 	*bp = b
 	recordBufPool.Put(bp)
 	return err
 }
 
-// readRecord reads one record.
-func readRecord(r io.Reader) (typ uint8, ver Version, payload []byte, err error) {
-	var hdr [5]byte
-	if _, err = io.ReadFull(r, hdr[:]); err != nil {
+// smallRecordLen is the largest record a recordReader reads without its
+// growable buffer: every handshake message but Certificate fits.
+const smallRecordLen = 128
+
+// recordReader reads records straight off the connection into buffers it
+// reuses for the connection's lifetime. A simnet read is already an
+// in-memory copy, so there is no read-ahead layer in between.
+type recordReader struct {
+	r     io.Reader
+	hdr   [5]byte
+	small [smallRecordLen]byte
+	buf   []byte // grown on demand for records larger than small
+}
+
+// header reads one record header.
+func (rr *recordReader) header() (typ uint8, ver Version, n int, err error) {
+	if _, err = io.ReadFull(rr.r, rr.hdr[:]); err != nil {
+		return 0, 0, 0, err
+	}
+	return rr.hdr[0], Version(binary.BigEndian.Uint16(rr.hdr[1:3])), int(binary.BigEndian.Uint16(rr.hdr[3:5])), nil
+}
+
+// payload reads an n-byte record body into the reused buffers. The result
+// aliases them and is valid only until the next read; callers copy what
+// they keep.
+func (rr *recordReader) payload(n int) ([]byte, error) {
+	var p []byte
+	switch {
+	case n <= len(rr.small):
+		p = rr.small[:n]
+	case n <= cap(rr.buf):
+		p = rr.buf[:n]
+	default:
+		rr.buf = make([]byte, n)
+		p = rr.buf
+	}
+	if _, err := io.ReadFull(rr.r, p); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// next reads one whole record; the payload follows payload's aliasing rule.
+func (rr *recordReader) next() (typ uint8, ver Version, payload []byte, err error) {
+	typ, ver, n, err := rr.header()
+	if err != nil {
 		return 0, 0, nil, err
 	}
-	typ = hdr[0]
-	ver = Version(binary.BigEndian.Uint16(hdr[1:3]))
-	n := int(binary.BigEndian.Uint16(hdr[3:5]))
-	payload = make([]byte, n)
-	if _, err = io.ReadFull(r, payload); err != nil {
+	if payload, err = rr.payload(n); err != nil {
 		return 0, 0, nil, err
 	}
 	return typ, ver, payload, nil
