@@ -184,30 +184,6 @@ func BenchmarkScanWorldwide(b *testing.B) {
 	b.ReportMetric(float64(len(hosts)), "hosts/op")
 }
 
-// BenchmarkScanWorldwideSharded measures the sharded scan pipeline end to
-// end — partition, concurrent per-shard scan + index build into a shared
-// backing array, deterministic merge — across shard counts. The shards=1
-// sub-bench is the sequential control.
-func BenchmarkScanWorldwideSharded(b *testing.B) {
-	s := study(b)
-	hosts := s.World.GovHosts
-	ctx := context.Background()
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				set := resultset.ScanSharded(ctx, s.Scanner(), hosts, shards,
-					resultset.Options{CountryOf: s.CountryOf})
-				if set.Len() != len(hosts) {
-					b.Fatal("short scan")
-				}
-			}
-			b.ReportMetric(float64(len(hosts)), "hosts/op")
-		})
-	}
-}
-
 // BenchmarkScanSingleHost measures one full host probe.
 func BenchmarkScanSingleHost(b *testing.B) {
 	s := study(b)
@@ -460,9 +436,7 @@ func BenchmarkRenewalFleet(b *testing.B) {
 		cfg.Seed = 42
 		cfg.Clock = w.Clock
 		sc := scanner.New(w.Net, w.DNS, w.Class, cfg)
-		bld := resultset.NewBuilder(resultset.Options{CountryOf: w.CountryOf, SizeHint: len(w.GovHosts)})
-		sc.ScanStream(ctx, w.GovHosts, bld.Add)
-		set := bld.Build()
+		set := resultset.New(sc.ScanAll(ctx, w.GovHosts), resultset.Options{CountryOf: w.CountryOf})
 		enrolled := acmefleet.Enroll(set)
 		hosts := make([]string, len(enrolled))
 		for k, e := range enrolled {
@@ -488,8 +462,7 @@ func BenchmarkRenewalFleet(b *testing.B) {
 // consume the same pre-collected result slice (the scan runs once,
 // outside every timed region — it used to sit inside both timers, where
 // its ~20x larger cost and noise drowned the aggregation delta the
-// section claims to measure); BenchmarkScanWorldwideSharded covers the
-// combined scan+build pipeline.
+// section claims to measure).
 
 // benchAggRaw returns the warm worldwide raw slice shared by the
 // aggregation benches.
@@ -520,29 +493,6 @@ func BenchmarkAggregateIndexed(b *testing.B) {
 		checkAggSet(b, resultset.New(raw, resultset.Options{CountryOf: s.CountryOf}))
 	}
 	b.ReportMetric(float64(len(raw)), "hosts/op")
-}
-
-// BenchmarkAggregateSharded times the merged build — the aggregation half
-// of the sharded scan pipeline (resultset.BuildSharded): the raw slice is
-// partitioned contiguously, every shard builds its own index
-// concurrently, and the deterministic set-merge recombines them without
-// copying the results (bit-identical to the sequential build). shards=1
-// is the merge-free one-shot control; the bench_scan.sh regression gate
-// reads the shards ≥ 2 entries.
-func BenchmarkAggregateSharded(b *testing.B) {
-	s := study(b)
-	raw := benchAggRaw(b)
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				checkAggSet(b, resultset.BuildSharded(raw, shards,
-					resultset.Options{CountryOf: s.CountryOf}))
-			}
-			b.ReportMetric(float64(len(raw)), "hosts/op")
-		})
-	}
 }
 
 // BenchmarkAggregateLegacy re-runs the pre-refactor pattern: every
@@ -693,8 +643,8 @@ func BenchmarkAggregateLegacy(b *testing.B) {
 //
 // The pair below measures the observatory's core trade: patching k changed
 // rows into an indexed Set through ApplyDelta (cost proportional to the
-// delta) versus the pre-refactor dataset patch path, a full Builder replay
-// over the corpus (cost proportional to the corpus regardless of k). Both
+// delta) versus the pre-refactor dataset patch path, a full rebuild over
+// the corpus (cost proportional to the corpus regardless of k). Both
 // sides consume the same pre-built base set and the same changed-row
 // slice; scripts/bench_scan.sh sweeps k for the crossover point and gates
 // the k=100 speedup at the full-study scale.
@@ -743,15 +693,16 @@ func BenchmarkApplyDelta(b *testing.B) {
 	}
 }
 
-// BenchmarkApplyDeltaRebuild is the replaced baseline: the Builder replay
-// dataset.Registry.patch ran before the ApplyDelta reroute — walk the full
-// corpus, substituting changed rows by hostname lookup.
+// BenchmarkApplyDeltaRebuild is the replaced baseline: the full rebuild
+// dataset.Registry.patch ran before the ApplyDelta reroute — walk the
+// full corpus, substituting changed rows by hostname lookup, and index
+// the patched slice from scratch.
 func BenchmarkApplyDeltaRebuild(b *testing.B) {
 	for _, k := range benchDeltaKs {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			base, changed := benchDeltaBase(b, k)
 			raw := base.Results()
-			opts := resultset.Options{CountryOf: study(b).CountryOf, SizeHint: len(raw)}
+			opts := resultset.Options{CountryOf: study(b).CountryOf}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -759,16 +710,16 @@ func BenchmarkApplyDeltaRebuild(b *testing.B) {
 				for j := range changed {
 					idx[changed[j].Hostname] = j
 				}
-				bld := resultset.NewBuilder(opts)
+				patched := make([]scanner.Result, len(raw))
 				for j := range raw {
 					if ci, ok := idx[raw[j].Hostname]; ok {
-						bld.Add(changed[ci])
+						patched[j] = changed[ci]
 					} else {
-						bld.Add(raw[j])
+						patched[j] = raw[j]
 					}
 				}
-				if bld.Build().Len() != base.Len() {
-					b.Fatal("replay changed corpus size")
+				if resultset.New(patched, opts).Len() != base.Len() {
+					b.Fatal("rebuild changed corpus size")
 				}
 			}
 			b.ReportMetric(float64(base.Len()), "hosts/op")

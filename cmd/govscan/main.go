@@ -4,7 +4,7 @@
 // Usage:
 //
 //	govscan [-seed 42] [-scale 1.0] [-dataset worldwide|usa:all|rok] [-store apple]
-//	        [-flaky 0.05] [-journal scan.jsonl [-resume]] [-breaker 5] [-shards 8]
+//	        [-flaky 0.05] [-journal scan.jsonl [-resume]] [-breaker 5]
 //
 // -dataset takes any name in the study's dataset registry: "worldwide",
 // "usa:<key>" for one GSA dataset, "usa:all" (alias "usa") for their
@@ -15,11 +15,6 @@
 // instead of restarting the scan from zero. -flaky injects transient
 // faults (flaky dials, latency) into the world; -breaker enables the
 // per-provider circuit breaker.
-//
-// -shards splits the scan across N independent workers, each building its
-// own index shard, merged deterministically at the end — bit-identical to
-// a sequential scan on fault-free worlds. 1 forces the sequential path; 0
-// (default) shards large corpora automatically.
 package main
 
 import (
@@ -47,7 +42,6 @@ func main() {
 	resume := flag.Bool("resume", false, "resume from an existing -journal instead of starting fresh")
 	breaker := flag.Int("breaker", 0, "open a provider circuit after N consecutive dial timeouts (0 = off)")
 	cooldown := flag.Duration("breaker-cooldown", 30*time.Second, "how long an open circuit stays open")
-	shards := flag.Int("shards", 0, "scan shards: >1 forces sharded scanning, 1 sequential, 0 auto")
 	flag.Parse()
 
 	study, err := core.NewStudy(world.Config{Seed: *seed, Scale: *scale, Flakiness: *flaky})
@@ -57,7 +51,6 @@ func main() {
 	if err := study.UseStore(*store); err != nil {
 		fatal(err)
 	}
-	study.SetShards(*shards)
 	if *resume && *journal == "" {
 		fatal(fmt.Errorf("-resume requires -journal"))
 	}

@@ -24,9 +24,7 @@ func fixture(tb testing.TB, seed int64) (*world.World, *resultset.Set) {
 	cfg.Seed = seed
 	cfg.Clock = w.Clock
 	sc := scanner.New(w.Net, w.DNS, w.Class, cfg)
-	b := resultset.NewBuilder(resultset.Options{CountryOf: w.CountryOf, SizeHint: len(w.GovHosts)})
-	sc.ScanStream(context.Background(), w.GovHosts, b.Add)
-	return w, b.Build()
+	return w, resultset.New(sc.ScanAll(context.Background(), w.GovHosts), resultset.Options{CountryOf: w.CountryOf})
 }
 
 // quickConfig keeps campaigns short: 30 simulated days at 12h ticks.

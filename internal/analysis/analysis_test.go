@@ -20,9 +20,7 @@ func worldScan(t *testing.T) *resultset.Set {
 	if scanCache == nil {
 		s := scanner.New(testWorld.Net, testWorld.DNS, testWorld.Class,
 			scanner.DefaultConfig(testWorld.Stores["apple"], testWorld.ScanTime))
-		b := resultset.NewBuilder(resultset.Options{CountryOf: countryOf, SizeHint: len(testWorld.GovHosts)})
-		s.ScanStream(context.Background(), testWorld.GovHosts, b.Add)
-		scanCache = b.Build()
+		scanCache = resultset.New(s.ScanAll(context.Background(), testWorld.GovHosts), resultset.Options{CountryOf: countryOf})
 	}
 	return scanCache
 }

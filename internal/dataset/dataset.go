@@ -44,11 +44,6 @@ type Source struct {
 // The registry calls it without holding any lock.
 type ScanFunc func(ctx context.Context, hosts []string, opts resultset.Options) *resultset.Set
 
-// ShardedScanFunc performs one scan split across shards independent
-// workers, merging the per-shard indexes deterministically (typically
-// resultset.ScanSharded). The registry calls it without holding any lock.
-type ShardedScanFunc func(ctx context.Context, hosts []string, opts resultset.Options, shards int) *resultset.Set
-
 // entry is one dataset's cache slot.
 type entry struct {
 	src Source
@@ -81,12 +76,6 @@ type pinState struct {
 type Registry struct {
 	scan ScanFunc
 
-	// sharded + shardsFor, when set via SetSharded, route full builds
-	// through the sharded scan path; partial (dirty-patch) rescans stay on
-	// the plain ScanFunc, since they cover small host subsets.
-	sharded   ShardedScanFunc
-	shardsFor func(hostCount int) int
-
 	mu      sync.Mutex
 	names   []string // registration order
 	entries map[string]*entry
@@ -95,28 +84,6 @@ type Registry struct {
 // NewRegistry creates an empty registry scanning through fn.
 func NewRegistry(fn ScanFunc) *Registry {
 	return &Registry{scan: fn, entries: map[string]*entry{}}
-}
-
-// SetSharded installs the sharded build hook: any full dataset build whose
-// host count makes shardsFor return n > 1 runs through fn with that shard
-// count instead of the sequential ScanFunc — so large corpora (worldwide
-// at scale) shard transparently while small ones keep the cheap path.
-// Both arguments must be non-nil. Call before the first Get; the hook is
-// not synchronized against in-flight builds.
-func (r *Registry) SetSharded(fn ShardedScanFunc, shardsFor func(hostCount int) int) {
-	r.sharded = fn
-	r.shardsFor = shardsFor
-}
-
-// fullBuild scans an entire host list, routing through the sharded hook
-// when the shard policy asks for more than one shard.
-func (r *Registry) fullBuild(ctx context.Context, hosts []string, opts resultset.Options) *resultset.Set {
-	if r.sharded != nil {
-		if n := r.shardsFor(len(hosts)); n > 1 {
-			return r.sharded(ctx, hosts, opts, n)
-		}
-	}
-	return r.scan(ctx, hosts, opts)
 }
 
 // Register adds a dataset. Registering a name twice panics: dataset names
@@ -197,11 +164,11 @@ func (r *Registry) get(ctx context.Context, name string) (*resultset.Set, int, e
 		var err error
 		switch {
 		case base != nil && len(dirty) > 0:
-			set = r.patch(ctx, e.src, base, dirty)
+			set, err = r.patch(ctx, e.src, base, dirty)
 		case e.src.Build != nil:
 			set, err = e.src.Build(ctx)
 		default:
-			set = r.fullBuild(ctx, e.src.Hosts(), e.src.Opts())
+			set = r.scan(ctx, e.src.Hosts(), e.src.Opts())
 		}
 
 		r.mu.Lock()
@@ -359,73 +326,58 @@ func (r *Registry) Generations() []GenerationInfo {
 // unchanged, the base's indexes are patched incrementally
 // (resultset.ApplyDelta — cost proportional to the dirty set, not the
 // corpus); when hosts appeared or disappeared, the set is reassembled in
-// the source's current host order through a Builder replay. Per-host
-// results are scan-order independent on fault-free worlds, so either
-// path is bit-identical to a full rescan at a fraction of the cost;
-// flaky worlds should use Invalidate instead (dial-ordinal fault draws
-// depend on scan makeup).
-func (r *Registry) patch(ctx context.Context, src Source, base *resultset.Set, dirty map[string]struct{}) *resultset.Set {
+// the source's current host order (resultset.Assemble), rescanned rows
+// first. Per-host results are scan-order independent on fault-free
+// worlds, so either path is bit-identical to a full rescan at a fraction
+// of the cost; flaky worlds should use Invalidate instead (dial-ordinal
+// fault draws depend on scan makeup).
+func (r *Registry) patch(ctx context.Context, src Source, base *resultset.Set, dirty map[string]struct{}) (*resultset.Set, error) {
 	hosts := src.Hosts()
-	baseResults := base.Results()
 
 	// Fast path: same corpus, same order — re-scan only the dirty hosts
 	// (in corpus order, so the delta is deterministic) and splice the
-	// changed rows into the base's shared-index chain.
-	if len(hosts) == len(baseResults) {
-		same := true
-		for i := range hosts {
-			if hosts[i] != baseResults[i].Hostname {
-				same = false
-				break
+	// changed rows into the base's shared-index chain. The comparison
+	// reads rows through At: on a delta generation Results would
+	// materialize an O(corpus) copy.
+	if sameHosts(hosts, base) {
+		toScan := make([]string, 0, len(dirty))
+		for _, h := range hosts {
+			if _, stale := dirty[h]; stale {
+				toScan = append(toScan, h)
 			}
 		}
-		if same {
-			toScan := make([]string, 0, len(dirty))
-			for _, h := range hosts {
-				if _, stale := dirty[h]; stale {
-					toScan = append(toScan, h)
-				}
-			}
-			sub := r.scan(ctx, toScan, src.Opts())
-			if next, err := base.ApplyDelta(sub.Results()); err == nil {
-				return next
-			}
-			// A delta contract violation (host vanished from the scan
-			// output) falls through to the full replay below.
+		sub := r.scan(ctx, toScan, src.Opts())
+		if next, err := base.ApplyDelta(sub.Results()); err == nil {
+			return next, nil
 		}
+		// A delta contract violation (host vanished from the scan
+		// output) falls through to the reassembly below.
 	}
 
-	baseIdx := make(map[string]int, len(baseResults))
-	for i := range baseResults {
-		baseIdx[baseResults[i].Hostname] = i
-	}
 	var toScan []string
 	for _, h := range hosts {
 		if _, stale := dirty[h]; stale {
 			toScan = append(toScan, h)
-			continue
-		}
-		if _, have := baseIdx[h]; !have {
+		} else if _, have := base.Lookup(h); !have {
 			toScan = append(toScan, h)
 		}
 	}
 	opts := src.Opts()
 	sub := r.scan(ctx, toScan, opts)
-	subResults := sub.Results()
-	subIdx := make(map[string]int, len(subResults))
-	for i := range subResults {
-		subIdx[subResults[i].Hostname] = i
+	return resultset.Assemble(hosts, opts, sub.Results(), base.Results())
+}
+
+// sameHosts reports whether set's rows are exactly hosts, in order.
+func sameHosts(hosts []string, set *resultset.Set) bool {
+	if len(hosts) != set.Len() {
+		return false
 	}
-	opts.SizeHint = len(hosts)
-	b := resultset.NewBuilder(opts)
-	for _, h := range hosts {
-		if i, ok := subIdx[h]; ok {
-			b.Add(subResults[i])
-		} else {
-			b.Add(baseResults[baseIdx[h]])
+	for i, h := range hosts {
+		if set.At(i).Hostname != h {
+			return false
 		}
 	}
-	return b.Build()
+	return true
 }
 
 // MarkDirty records hosts whose cached results in the named dataset are

@@ -2,8 +2,11 @@ package dataset_test
 
 import (
 	"context"
+	"fmt"
+	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/dataset"
 	"repro/internal/resultset"
@@ -198,8 +201,8 @@ func TestMarkDirtyRacingGetDoomsBuildOnce(t *testing.T) {
 }
 
 // TestPatchFallsBackOnCorpusChange pins the slow path: when the host
-// list itself changed, the patch reassembles through the Builder replay
-// (every current host present) instead of the delta splice.
+// list itself changed, the patch reassembles in host order (every current
+// host present) instead of the delta splice.
 func TestPatchFallsBackOnCorpusChange(t *testing.T) {
 	m := &mutableWorld{hsts: map[string]bool{}}
 	hosts := append([]string(nil), mdHosts...)
@@ -242,5 +245,55 @@ func TestPatchFallsBackOnCorpusChange(t *testing.T) {
 	scans := m.scans()
 	if last := scans[len(scans)-1]; len(last) != 2 {
 		t.Fatalf("fallback scanned %v, want the dirty host + the newcomer", last)
+	}
+}
+
+// TestPatchCostScalesWithDelta: a same-corpus patch reads the base
+// through Len/At, so patching a delta generation never materializes the
+// corpus' result slice. The first of two successive one-host patches
+// turns the cached set into a delta generation; the second must then
+// allocate less than one copy of the corpus' results.
+func TestPatchCostScalesWithDelta(t *testing.T) {
+	const n = 20000
+	hosts := make([]string, n)
+	for i := range hosts {
+		hosts[i] = fmt.Sprintf("h%05d.gov", i)
+	}
+	m := &mutableWorld{hsts: map[string]bool{}}
+	r := dataset.NewRegistry(m.scan)
+	r.Register(dataset.Source{
+		Name:  "d",
+		Hosts: func() []string { return hosts },
+		Opts:  func() resultset.Options { return resultset.Options{} },
+	})
+	ctx := context.Background()
+	get := func() *resultset.Set {
+		set, err := r.Get(ctx, "d")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return set
+	}
+	get()
+	m.setHSTS(hosts[1], true)
+	r.MarkDirty("d", []string{hosts[1]})
+	get()
+
+	m.setHSTS(hosts[2], true)
+	r.MarkDirty("d", []string{hosts[2]})
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	set := get()
+	runtime.ReadMemStats(&after)
+
+	if rr, _ := set.Lookup(hosts[2]); rr == nil || !rr.HSTS {
+		t.Fatal("second patch missed the update")
+	}
+	oneCopy := uint64(n) * uint64(unsafe.Sizeof(scanner.Result{}))
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("second patch allocated %d bytes (one corpus copy: %d)", got, oneCopy)
+	if got >= oneCopy {
+		t.Fatalf("second one-host patch allocated %d bytes, want < %d (one copy of the corpus' results)", got, oneCopy)
 	}
 }

@@ -1,6 +1,6 @@
 // The goroutineowner analyzer enforces the single-owner discipline the
 // concurrent subsystems rely on (scheduler worker pools, the fleet's
-// dispatch loop, the sharded builders): a variable captured by a
+// dispatch loop, the scan worker pool): a variable captured by a
 // go-statement closure must be written on only one side of the spawn
 // unless the two sides hand ownership off through a mutex, a WaitGroup
 // join, or a channel synchronization. The -race detector finds these

@@ -3,6 +3,9 @@ package lint
 import (
 	"bufio"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -298,6 +301,53 @@ func TestRepoLintsClean(t *testing.T) {
 		}
 	}
 	t.Logf("suppressed findings by check: %v", suppressed)
+}
+
+// TestHotPathFuncsMatch: every HotPathFuncs pattern names at least one
+// function in the module. hotalloc checks only the functions a pattern
+// matches, so an entry left behind by a rename or deletion would
+// otherwise enforce nothing without anyone noticing.
+func TestHotPathFuncsMatch(t *testing.T) {
+	cwd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, module, err := findModule(cwd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, f := range HotPathFuncs {
+		pkg, pat := parseHotPattern(f)
+		dir := filepath.Join(root, strings.TrimPrefix(strings.TrimPrefix(pkg, module), "/"))
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Errorf("%s: package directory: %v", f, err)
+			continue
+		}
+		matched := false
+		for _, e := range entries {
+			name := e.Name()
+			if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+				continue
+			}
+			file, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range file.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok && pat.matches(recvTypeName(fd), fd.Name.Name) {
+					matched = true
+				}
+			}
+			if matched {
+				break
+			}
+		}
+		if !matched {
+			t.Errorf("HotPathFuncs entry %q matches no function in the module", f)
+		}
+	}
 }
 
 // TestDatasetDeclLive demonstrates datasetdecl on the real registry: a

@@ -58,8 +58,8 @@ func patchRows(t *testing.T, base, changed []scanner.Result) []scanner.Result {
 	return out
 }
 
-// TestApplyDeltaMatchesRebuild is the golden-differential proof in the
-// style of TestMergeMatchesSequential: remediate the world, rescan only
+// TestApplyDeltaMatchesRebuild is the golden-differential proof for
+// incremental patching: remediate the world, rescan only
 // the changed hosts at the follow-up time, ApplyDelta the base set, and
 // compare every accessor against a from-scratch build over the patched
 // result slice. A second chained delta re-runs the comparison to prove

@@ -5,15 +5,12 @@
 // counts (the Table 2 tallies, key/signature/version cells) every
 // experiment used to recompute with its own loop over the raw slice.
 //
-// A Set is built in one shot with New, incrementally by feeding a Builder
-// and finalizing with Build, or — the preferred entry point at scale —
-// sharded with ScanSharded: the host list is partitioned contiguously
-// (scanner.Partition), each shard scans and builds its own Set with no
-// cross-shard locks, and Merge recombines the per-shard indexes
-// bit-identically to a sequential build. Once built, a Set is immutable:
-// every analysis, report and disclosure pass serves itself from the same
-// indexes, so the corpus is walked exactly once no matter how many tables
-// and figures are derived from it.
+// A Set is built in one shot with New over a finished scan
+// (scanner.ScanAll), assembled in host order from already-scanned rows
+// with Assemble, or derived from a base Set with ApplyDelta. Once built,
+// a Set is immutable: every analysis, report and disclosure pass serves
+// itself from the same indexes, so the corpus is walked exactly once no
+// matter how many tables and figures are derived from it.
 //
 // The build itself is two-pass: pass A walks the results once, interning
 // every index key to a dense id and counting bucket cardinalities; pass B
@@ -29,6 +26,7 @@
 package resultset
 
 import (
+	"fmt"
 	"io"
 	"sort"
 	"sync"
@@ -52,8 +50,6 @@ type Options struct {
 	// positive for the rank index to build.
 	RankBuckets int
 	RankMax     int
-	// SizeHint pre-sizes the result slice and host index.
-	SizeHint int
 }
 
 // Counts carries the Table 2 tallies derived during the build pass.
@@ -152,36 +148,11 @@ type Set struct {
 }
 
 // combKey is the value identity of one key-type × signing-algorithm
-// cell — stable across shards and delta generations, unlike the
-// per-build cell positions.
+// cell — stable across delta generations, unlike the per-build cell
+// positions.
 type combKey struct {
 	hk  uint64
 	sig int32
-}
-
-// Builder accumulates results into a Set. Add must be called from a
-// single goroutine, in scan input order; distinct Builders are fully
-// independent, so per-shard builders need no locking. Build finalizes
-// and the Builder must not be reused.
-type Builder struct {
-	opts    Options
-	results []scanner.Result
-}
-
-// NewBuilder starts an index build.
-func NewBuilder(opts Options) *Builder {
-	hint := opts.SizeHint
-	if hint < 0 {
-		hint = 0
-	}
-	return &Builder{opts: opts, results: make([]scanner.Result, 0, hint)}
-}
-
-// newShardBuilder starts a build whose results land in buf (a zero-length
-// slice with capacity for the whole shard), letting sharded scans append
-// into one shared backing array and merge without copying results.
-func newShardBuilder(opts Options, buf []scanner.Result) *Builder {
-	return &Builder{opts: opts, results: buf}
 }
 
 // New builds a Set from an already-collected result slice (the slice is
@@ -190,16 +161,33 @@ func New(results []scanner.Result, opts Options) *Set {
 	return build(results, opts)
 }
 
-// Add records one result. Indexing is deferred to Build.
-func (b *Builder) Add(r scanner.Result) {
-	b.results = append(b.results, r)
-}
-
-// Build finalizes the Set; the Builder must not be reused.
-func (b *Builder) Build() *Set {
-	s := build(b.results, b.opts)
-	b.results = nil
-	return s
+// Assemble builds a Set over hosts, in that order, from rows that were
+// already scanned: each host takes its row from the first source that
+// lists it. A host no source lists is an error. Per-host results are
+// scan-order independent on fault-free worlds, so the assembled Set is
+// bit-identical to a fresh scan of hosts.
+func Assemble(hosts []string, opts Options, sources ...[]scanner.Result) (*Set, error) {
+	n := 0
+	for _, src := range sources {
+		n += len(src)
+	}
+	byHost := make(map[string]*scanner.Result, n)
+	for _, src := range sources {
+		for i := range src {
+			if _, dup := byHost[src[i].Hostname]; !dup {
+				byHost[src[i].Hostname] = &src[i]
+			}
+		}
+	}
+	results := make([]scanner.Result, len(hosts))
+	for i, h := range hosts {
+		r, ok := byHost[h]
+		if !ok {
+			return nil, fmt.Errorf("resultset: host %q is in no source", h)
+		}
+		results[i] = *r
+	}
+	return build(results, opts), nil
 }
 
 // densePos maps a small non-negative integer key (an enum value) to its
@@ -308,7 +296,7 @@ func build(results []scanner.Result, opts Options) *Set {
 	combPos := make(map[uint64]int32, 16)
 
 	// Cell state: slot-ordered cells plus each cell's first contributing
-	// result index and value key (what ApplyDelta and Merge rekey on).
+	// result index and value key (what ApplyDelta rekeys on).
 	var hostKeyCells, sigAlgoCells, combinedCells, versionCells []Cell
 	var hkFirst, sigFirst, combFirst, verFirst []int32
 	var hkKeys []uint64
@@ -505,8 +493,8 @@ func build(results []scanner.Result, opts Options) *Set {
 			bumpCell(&sigAlgoCells[sp], valid)
 
 			// The within-build intern key is the fast (hp,sp) slot pair;
-			// the value key recorded for merge and delta is (hk, sig),
-			// which is stable across shards and generations.
+			// the value key recorded for delta is (hk, sig), which is
+			// stable across generations.
 			ck := uint64(hp)<<32 | uint64(sp)
 			cp, seen := combPos[ck]
 			if !seen {
@@ -750,7 +738,7 @@ func (s *Set) buildHostIndex() {
 	s.byHost = m
 }
 
-// CountryOf attributes a hostname using the builder's attribution
+// CountryOf attributes a hostname using the build options' attribution
 // function ("" when none was configured).
 func (s *Set) CountryOf(hostname string) string {
 	if s.opts.CountryOf == nil {
@@ -845,7 +833,7 @@ func (s *Set) Ranked() []int { return s.ranked }
 // equal-width bucket over [1, RankMax].
 func (s *Set) RankBuckets() [][]int { return s.rankBuckets }
 
-// RankOf reports a hostname's rank via the builder's ranker.
+// RankOf reports a hostname's rank via the build options' ranker.
 func (s *Set) RankOf(hostname string) (int, bool) {
 	if s.opts.RankOf == nil {
 		return 0, false

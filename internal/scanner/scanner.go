@@ -613,65 +613,22 @@ func classifyTLSErr(err error) (Exception, string) {
 	}
 }
 
-// ScanAll probes every hostname with bounded concurrency, preserving input
-// order in the result slice. Hosts skipped (context cancellation, breaker)
-// still carry their Hostname, so downstream analysis never sees anonymous
-// rows. When a Journal is configured, hosts it already holds are restored
-// without re-scanning and every newly completed host is checkpointed, so
-// an interrupted run resumes from the last completed host.
-//
-// ScanAll is a thin collector over ScanStream. Callers that aggregate
-// large corpora should prefer the sharded path (resultset.ScanSharded,
-// built on Partition + ScanShard): it feeds one index builder per shard
-// with no global in-order window and merges deterministically. ScanStream
-// remains the streaming entry point when a single in-order consumer is
-// required.
+// ScanAll probes every hostname with bounded concurrency and returns one
+// result per hostname, in input order. Hosts skipped after context
+// cancellation still carry their Hostname, so downstream analysis never
+// sees anonymous rows. When a Journal is configured, hosts it already
+// holds are restored without re-scanning and every newly completed host
+// is checkpointed, so an interrupted run resumes from the last completed
+// host.
 func (s *Scanner) ScanAll(ctx context.Context, hostnames []string) []Result {
-	results := make([]Result, 0, len(hostnames))
-	s.ScanStream(ctx, hostnames, func(r Result) { results = append(results, r) })
-	return results
-}
-
-// streamItem carries one completed scan to the in-order emitter.
-type streamItem struct {
-	i int
-	r Result
-}
-
-// ScanStream probes every hostname with bounded concurrency and delivers
-// each result to fn in input order, as soon as it and all of its
-// predecessors have finished — so an aggregation layer builds indexes
-// concurrently with the scan instead of buffering the whole corpus.
-// fn runs on the calling goroutine and needs no locking.
-//
-// Semantics match ScanAll exactly: journaled hosts are restored without
-// re-scanning, newly completed hosts are checkpointed, and after context
-// cancellation the remaining unscanned hosts are delivered as
-// hostname-only placeholder results. Out-of-order completions are held in
-// a reorder window bounded by a small multiple of the worker count, so
-// memory stays O(workers), not O(hosts).
-//
-// The reorder window serializes every consumer behind the slowest
-// in-flight probe; at large scale prefer resultset.ScanSharded, which
-// partitions the host list (Partition) and feeds one builder per shard
-// directly (ScanShard) with no global in-order bottleneck.
-func (s *Scanner) ScanStream(ctx context.Context, hostnames []string, fn func(Result)) {
 	journal := s.Cfg.Journal
+	results := make([]Result, len(hostnames))
 
-	// A fixed pool of workers drains an index channel — no goroutine churn
-	// per host, and memory stays bounded by the pool size rather than the
-	// input length.
-	workers := min(s.Cfg.Concurrency, len(hostnames))
-	if workers < 1 {
-		workers = 1
-	}
-	// window caps how many results may be in flight past the emitter: the
-	// feeder blocks once the reorder buffer is this full.
-	window := workers * 4
+	// A fixed pool of workers drains an index channel and writes each
+	// result into its own slot — no goroutine churn per host and no
+	// reordering step.
+	workers := max(1, min(s.Cfg.Concurrency, len(hostnames)))
 	idx := make(chan int)
-	out := make(chan streamItem, window)
-	sem := make(chan struct{}, window)
-
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for range workers {
@@ -684,52 +641,30 @@ func (s *Scanner) ScanStream(ctx context.Context, hostnames []string, fn func(Re
 					// by cancellation must be redone on resume.
 					journal.Append(r)
 				}
-				out <- streamItem{i, r}
+				results[i] = r
 			}
 		}()
 	}
 
-	// The feeder mirrors ScanAll's dispatch loop: restore journaled hosts
-	// inline, stop dispatching at the first non-journaled host after
-	// cancellation, and emit the rest as placeholders.
-	go func() {
-		for i, h := range hostnames {
-			if journal != nil {
-				if prev, ok := journal.Lookup(h); ok {
-					sem <- struct{}{}
-					out <- streamItem{i, prev}
-					continue
-				}
+	// Restore journaled hosts inline, stop dispatching at the first
+	// non-journaled host after cancellation, and fill the rest with
+	// hostname-only placeholders.
+	for i, h := range hostnames {
+		if journal != nil {
+			if prev, ok := journal.Lookup(h); ok {
+				results[i] = prev
+				continue
 			}
-			if ctx.Err() != nil {
-				for j := i; j < len(hostnames); j++ {
-					sem <- struct{}{}
-					out <- streamItem{j, Result{Hostname: hostnames[j]}}
-				}
-				break
-			}
-			sem <- struct{}{}
-			//lint:allow chanleak workers drain idx until close, and this feeder closes it on every path (including cancellation, via the loop break above)
-			idx <- i
 		}
-		close(idx)
-	}()
-
-	// Emit in input order from the reorder buffer, on this goroutine.
-	pending := make(map[int]Result, window)
-	for next := 0; next < len(hostnames); {
-		item := <-out
-		pending[item.i] = item.r
-		for {
-			r, ok := pending[next]
-			if !ok {
-				break
+		if ctx.Err() != nil {
+			for j := i; j < len(hostnames); j++ {
+				results[j] = Result{Hostname: hostnames[j]}
 			}
-			delete(pending, next)
-			<-sem
-			fn(r)
-			next++
+			break
 		}
+		idx <- i
 	}
+	close(idx)
 	wg.Wait()
+	return results
 }
