@@ -69,7 +69,7 @@ func (c Chaos) Apply(w *world.World, hosts []string, seed int64) ChaosOutcome {
 		h.Write([]byte(hostname))
 		h.Write([]byte("fleet-chaos"))
 		v := h.Sum64()
-		u := float64(v>>11) / float64(1 << 53)
+		u := float64(v>>11) / float64(1<<53)
 		ep80 := netip.AddrPortFrom(s.IP, 80)
 		switch {
 		case u < c.CAADenyFrac:

@@ -667,8 +667,8 @@ func (q dueHeap) Less(i, j int) bool {
 	}
 	return q[i].hostname < q[j].hostname
 }
-func (q dueHeap) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
-func (q *dueHeap) Push(x any)        { *q = append(*q, x.(*hostState)) }
+func (q dueHeap) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
+func (q *dueHeap) Push(x any)   { *q = append(*q, x.(*hostState)) }
 func (q *dueHeap) Pop() any {
 	old := *q
 	n := len(old)

@@ -267,4 +267,3 @@ func TestGetInvalidateRace(t *testing.T) {
 		}
 	}
 }
-

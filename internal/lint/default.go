@@ -53,9 +53,10 @@ var LongRunningPackages = []string{
 // simulated connection substrate (simnet pipe buffers, the tlssim record
 // reader and application-data reads), the httpsim wire codecs, the
 // scanner probe loop and zero-copy JSON exporter, the cert
-// fingerprint/base64 encoders, and the result-set build. Additions here
-// are a reviewed contract — a function joins the hot set when a bench
-// gate depends on its allocation behavior.
+// fingerprint/base64 encoders, and the result-set build with its lazily
+// built fingerprint/key-ID families. Additions here are a reviewed
+// contract — a function joins the hot set when a bench gate depends on
+// its allocation behavior.
 var HotPathFuncs = []string{
 	"repro/internal/simnet.pipeBuffer.read",
 	"repro/internal/simnet.pipeBuffer.write",
@@ -75,6 +76,7 @@ var HotPathFuncs = []string{
 	"repro/internal/scanner.append*",
 	"repro/internal/cert.Certificate.Append*",
 	"repro/internal/resultset.build",
+	"repro/internal/resultset.chainKeyIndex",
 	"repro/internal/serve.append*",
 }
 

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/resultset"
+	"repro/internal/scanner"
 )
 
 // State is the per-host condition recorded in a snapshot.
@@ -51,18 +52,23 @@ func Capture(taken time.Time, set *resultset.Set) Snapshot {
 	s := Snapshot{Taken: taken, States: make(map[string]State, set.Len())}
 	for i := 0; i < set.Len(); i++ {
 		r := set.At(i)
-		switch {
-		case !r.Available:
-			s.States[r.Hostname] = Gone
-		case r.ValidHTTPS():
-			s.States[r.Hostname] = ValidHTTPS
-		case r.HasHTTPS():
-			s.States[r.Hostname] = BrokenHTTPS
-		default:
-			s.States[r.Hostname] = HTTPOnly
-		}
+		s.States[r.Hostname] = stateOf(r)
 	}
 	return s
+}
+
+// stateOf classifies one scanned host.
+func stateOf(r *scanner.Result) State {
+	switch {
+	case !r.Available:
+		return Gone
+	case r.ValidHTTPS():
+		return ValidHTTPS
+	case r.HasHTTPS():
+		return BrokenHTTPS
+	default:
+		return HTTPOnly
+	}
 }
 
 // Transition is one host's state change between snapshots.

@@ -103,3 +103,61 @@ func TestStateOrdering(t *testing.T) {
 		t.Error("state naming wrong")
 	}
 }
+
+// countStates is the reference tally: Capture's per-host states counted
+// one by one.
+func countStates(s longitudinal.Snapshot) longitudinal.Point {
+	p := longitudinal.Point{Taken: s.Taken}
+	for _, st := range s.States {
+		switch st {
+		case longitudinal.Gone:
+			p.Gone++
+		case longitudinal.HTTPOnly:
+			p.HTTPOnly++
+		case longitudinal.BrokenHTTPS:
+			p.Broken++
+		case longitudinal.ValidHTTPS:
+			p.Valid++
+		}
+	}
+	return p
+}
+
+// TestTallyMatchesCapture: Tally must count exactly the states Capture
+// records, on a fresh set and on a delta generation whose changed rows
+// sit in an overlay over the base rows.
+func TestTallyMatchesCapture(t *testing.T) {
+	w := world.MustBuild(world.Config{Seed: 33, Scale: 0.01})
+	base := scanAll(w, nil)
+	p0 := longitudinal.Tally(w.ScanTime, base)
+	if want := countStates(longitudinal.Capture(w.ScanTime, base)); p0 != want {
+		t.Fatalf("fresh set: Tally = %+v, Capture counts %+v", p0, want)
+	}
+	if p0.Total() != base.Len() {
+		t.Fatalf("fresh set: Tally covers %d hosts, corpus has %d", p0.Total(), base.Len())
+	}
+
+	// Fix a handful of invalid hosts and rescan only those: a delta far
+	// below ApplyDelta's 1/8 compaction trigger, so the generation reads
+	// its changed rows through the overlay.
+	out := w.Remediate(base.InvalidHosts(), world.DefaultRemediationRates(), rand.New(rand.NewSource(3)))
+	changed := out.ChangedHosts()
+	if limit := base.Len() / 16; len(changed) > limit {
+		changed = changed[:limit]
+	}
+	if len(changed) == 0 {
+		t.Fatal("remediation changed no hosts")
+	}
+	sc := scanner.New(w.Net, w.DNS, w.Class, scanner.DefaultConfig(w.Stores["apple"], world.FollowUpScanTime))
+	next, err := base.ApplyDelta(sc.ScanAll(context.Background(), changed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p1 := longitudinal.Tally(world.FollowUpScanTime, next)
+	if want := countStates(longitudinal.Capture(world.FollowUpScanTime, next)); p1 != want {
+		t.Fatalf("delta generation: Tally = %+v, Capture counts %+v", p1, want)
+	}
+	if p1.Valid <= p0.Valid {
+		t.Fatalf("delta generation tally %+v does not reflect the %d fixed hosts (base %+v)", p1, len(changed), p0)
+	}
+}

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"fmt"
 	"time"
+
+	"repro/internal/resultset"
 )
 
-// Point reduces one snapshot to state tallies — one sample of the
-// adoption curve.
+// Point is one sample of the adoption curve: the host population's
+// state tallies at one instant.
 type Point struct {
-	// Taken is the snapshot time.
+	// Taken is the sample time.
 	Taken time.Time
 	// Gone/HTTPOnly/Broken/Valid partition the host population.
 	Gone     int
@@ -29,12 +31,13 @@ func (p Point) ValidShare() float64 {
 	return 0
 }
 
-// PointOf tallies one snapshot. Counting over the state map is
-// order-independent, so the unordered walk cannot leak into output.
-func PointOf(s Snapshot) Point {
-	p := Point{Taken: s.Taken}
-	for _, st := range s.States {
-		switch st {
+// Tally reduces an indexed scan straight to one sample of the adoption
+// curve — the same per-host classification as Capture, counted without
+// building the hostname map.
+func Tally(taken time.Time, set *resultset.Set) Point {
+	p := Point{Taken: taken}
+	for i := 0; i < set.Len(); i++ {
+		switch stateOf(set.At(i)) {
 		case Gone:
 			p.Gone++
 		case HTTPOnly:
@@ -48,20 +51,11 @@ func PointOf(s Snapshot) Point {
 	return p
 }
 
-// Trajectory is the adoption curve a periodic snapshot stream traces —
+// Trajectory is the adoption curve, one Point per sample in sample order —
 // the longitudinal monitoring the paper names as future work, emitted
 // over virtual months by the continuous observatory.
 type Trajectory struct {
 	Points []Point
-}
-
-// Track reduces a snapshot stream (in capture order) to its trajectory.
-func Track(snaps []Snapshot) Trajectory {
-	t := Trajectory{Points: make([]Point, 0, len(snaps))}
-	for _, s := range snaps {
-		t.Points = append(t.Points, PointOf(s))
-	}
-	return t
 }
 
 // AdoptionDelta is the net change in valid-https hosts from the first

@@ -5,8 +5,8 @@
 // through a deterministic queue (fresh-certificate hosts first, token-
 // bucket rate limiting for the rest of the churn), patches the live
 // result set incrementally (resultset.ApplyDelta, cost proportional to
-// the delta), and emits periodic longitudinal snapshots — the adoption
-// trajectory over virtual months.
+// the delta), and samples the adoption trajectory periodically
+// (longitudinal.Tally) over virtual months.
 //
 // Everything the observatory emits is bit-deterministic for a given seed
 // and configuration, at any worker count: the acmefleet scheduler's
@@ -47,8 +47,8 @@ type Config struct {
 	// Workers is the re-scan concurrency per tick (default 16). Output
 	// is byte-identical at any value.
 	Workers int
-	// SnapshotEvery takes a longitudinal snapshot every n ticks
-	// (default 4). The final tick always snapshots.
+	// SnapshotEvery samples the adoption trajectory every n ticks
+	// (default 4). The final tick always samples.
 	SnapshotEvery int
 	// ChurnPerTick is how many hosts of background churn the observatory
 	// itself drives into the world each tick via world.ChurnTick
@@ -123,7 +123,7 @@ type Observatory struct {
 	scanCfg   scanner.Config
 
 	alerts []certwatch.Match
-	snaps  []longitudinal.Snapshot
+	points []longitudinal.Point
 }
 
 // dirtyHost is one queued re-scan candidate.
@@ -207,25 +207,19 @@ func (o *Observatory) Run(ctx context.Context) (*Report, error) {
 			if err != nil {
 				return rep, err
 			}
+			o.rearm(o.set, results, now)
 			o.set = next
-			// Re-arm expiry tracking from the fresh rows.
-			for k := range results {
-				r := &results[k]
-				if len(r.Chain) > 0 && r.Chain[0].NotAfter.After(now) {
-					heap.Push(&o.expiry, expiryEntry{at: r.Chain[0].NotAfter, hostname: r.Hostname})
-				}
-			}
 		}
 
 		if i%o.Cfg.SnapshotEvery == 0 || i == ticks {
-			o.snaps = append(o.snaps, longitudinal.Capture(now, o.set))
+			o.points = append(o.points, longitudinal.Tally(now, o.set))
 			stat.Snapshotted = true
 		}
 		stat.Alerts = len(o.alerts)
 		rep.Ticks = append(rep.Ticks, stat)
 	}
 	rep.Alerts = append([]certwatch.Match(nil), o.alerts...)
-	rep.Trajectory = longitudinal.Track(o.snaps)
+	rep.Trajectory = longitudinal.Trajectory{Points: o.points}
 	rep.FinalCounts = o.set.Counts()
 	return rep, nil
 }
@@ -283,6 +277,27 @@ func (o *Observatory) ingest(now time.Time, stat *TickStat) {
 			continue
 		}
 		o.dirty(e.hostname, false, now, stat)
+	}
+}
+
+// rearm tracks the expiry of the rescanned rows' leaves. It keeps one
+// invariant: every corpus host whose current leaf expires after now has
+// an entry (NotAfter, host) in the expiry heap. An entry is pushed when
+// its row is installed (New, or here) and popped only once its time is
+// ≤ now, so when the replaced row in prev carried a leaf with the same
+// NotAfter — still after now — its entry is still queued and a second
+// push would only add a duplicate pop later.
+func (o *Observatory) rearm(prev *resultset.Set, results []scanner.Result, now time.Time) {
+	for k := range results {
+		r := &results[k]
+		if len(r.Chain) == 0 || !r.Chain[0].NotAfter.After(now) {
+			continue
+		}
+		at := r.Chain[0].NotAfter
+		if old, ok := prev.Lookup(r.Hostname); ok && len(old.Chain) > 0 && old.Chain[0].NotAfter.Equal(at) {
+			continue
+		}
+		heap.Push(&o.expiry, expiryEntry{at: at, hostname: r.Hostname})
 	}
 }
 

@@ -4,6 +4,10 @@ import (
 	"container/heap"
 	"testing"
 	"time"
+
+	"repro/internal/cert"
+	"repro/internal/resultset"
+	"repro/internal/scanner"
 )
 
 var qt0 = time.Date(2020, 4, 26, 0, 0, 0, 0, time.UTC)
@@ -120,6 +124,61 @@ func TestExpiryHeapOrder(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("pop order = %v, want %v", got, want)
+		}
+	}
+}
+
+func leafRow(host string, notAfter time.Time) scanner.Result {
+	return scanner.Result{
+		Hostname:  host,
+		Available: true,
+		Chain:     []*cert.Certificate{{NotAfter: notAfter}},
+	}
+}
+
+// TestRearmSkipsUnchangedExpiry pins the expiry-heap invariant rearm
+// relies on: a rescanned row whose leaf keeps the replaced row's
+// NotAfter already has its entry queued, so nothing is pushed; every
+// other row with a live leaf gets exactly one new entry.
+func TestRearmSkipsUnchangedExpiry(t *testing.T) {
+	exp := qt0.Add(48 * time.Hour)
+	prev := resultset.New([]scanner.Result{
+		leafRow("same.gov.xx", exp),
+		leafRow("rotated.gov.xx", exp),
+		leafRow("lapsed.gov.xx", qt0.Add(-time.Hour)),
+		{Hostname: "plain.gov.xx", Available: true},
+	}, resultset.Options{})
+	o := newQueueOnly(1, 1)
+	// The entries New arms from prev at qt0: live leaves only.
+	heap.Push(&o.expiry, expiryEntry{at: exp, hostname: "same.gov.xx"})
+	heap.Push(&o.expiry, expiryEntry{at: exp, hostname: "rotated.gov.xx"})
+
+	now := qt0.Add(12 * time.Hour)
+	renewed := exp.Add(90 * 24 * time.Hour)
+	o.rearm(prev, []scanner.Result{
+		leafRow("same.gov.xx", exp),        // unchanged expiry: entry still queued
+		leafRow("rotated.gov.xx", renewed), // new expiry: pushed beside the stale one
+		leafRow("lapsed.gov.xx", renewed),  // old leaf had expired: pushed
+		leafRow("plain.gov.xx", renewed),   // gained a chain: pushed
+	}, now)
+
+	var got []expiryEntry
+	for o.expiry.Len() > 0 {
+		got = append(got, heap.Pop(&o.expiry).(expiryEntry))
+	}
+	want := []expiryEntry{
+		{at: exp, hostname: "rotated.gov.xx"},
+		{at: exp, hostname: "same.gov.xx"},
+		{at: renewed, hostname: "lapsed.gov.xx"},
+		{at: renewed, hostname: "plain.gov.xx"},
+		{at: renewed, hostname: "rotated.gov.xx"},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("expiry heap = %v, want %v", got, want)
+	}
+	for i := range want {
+		if !got[i].at.Equal(want[i].at) || got[i].hostname != want[i].hostname {
+			t.Fatalf("expiry heap = %v, want %v", got, want)
 		}
 	}
 }

@@ -29,7 +29,7 @@ type TickStat struct {
 	Deferred int
 	// Alerts is the cumulative lookalike-match count so far.
 	Alerts int
-	// Snapshotted marks ticks that captured a longitudinal snapshot.
+	// Snapshotted marks ticks that sampled the adoption trajectory.
 	Snapshotted bool
 }
 
@@ -42,7 +42,7 @@ type Report struct {
 	// Alerts lists every lookalike match the CT tail surfaced, in
 	// ingestion order.
 	Alerts []certwatch.Match
-	// Trajectory is the adoption curve over the periodic snapshots.
+	// Trajectory is the adoption curve over the periodic samples.
 	Trajectory longitudinal.Trajectory
 	// FinalCounts is the patched result set's final tally.
 	FinalCounts resultset.Counts

@@ -11,22 +11,33 @@ import (
 // ApplyDelta returns a new generation of the Set in which the given
 // rescanned results replace their predecessors, with every index, count,
 // cell and derived tally bit-identical to a from-scratch build over the
-// patched result slice — at a cost proportional to the delta, not the
-// corpus:
+// patched result slice. A generation's cost is set by the delta and the
+// index entries it touches — not by the corpus, and not by how much churn
+// earlier generations absorbed:
 //
 //   - the result slice itself is never copied: the new generation shares
 //     the base generation's backing slice and layers the changed rows on
 //     top as an index-keyed overlay (pointers into a per-generation slab,
-//     immutable once installed), so the only O(corpus) work left per
-//     generation is one flat memcpy of each touched family's
-//     bucket-header vector;
+//     immutable once installed);
 //   - the contiguous view (Results, WriteJSONL) is materialized lazily
 //     and cached, so a generation only pays that copy if something asks
 //     for it; once the overlay grows past 1/8 of the corpus the
 //     generation compacts eagerly (deterministic, size-triggered) to
-//     keep per-row access at one map probe;
+//     keep per-row access at one map probe, so the O(corpus) copy is
+//     paid once per corpus/8 changed rows;
 //   - only buckets actually touched by a changed result are rebuilt,
-//     by splicing out the old index and splicing in the new one;
+//     by splicing out the old index and splicing in the new one — a
+//     splice copies the touched bucket, so a change landing in a large
+//     bucket (the valid category, a big provider) pays that bucket's
+//     length; a touched family also copies its bucket-header vector, one
+//     entry per key it ever interned, which for the families patched here
+//     (categories, exceptions, providers, hosting kinds, issuers) stays
+//     bounded however long the chain grows;
+//   - the fingerprint and key-ID families are not patched at all: nearly
+//     every rotation mints a new key in both, so their header vectors
+//     would grow with churn. Each generation builds them from its own
+//     chain-bearing rows on first use (Fingerprints, ByFingerprint,
+//     KeyIDs, ByKeyID), and a generation nobody asks pays nothing;
 //   - key→slot intern tables are shared across the whole delta chain
 //     (slots are never renumbered), so no per-generation map is cloned;
 //   - first-seen key orders are re-derived lazily, and only for families
@@ -99,7 +110,7 @@ func (s *Set) ApplyDelta(changed []scanner.Result) (*Set, error) {
 		ns.ccAggs[cc] = s.ccAggs[cc]
 	}
 
-	var catOps, excOps, provOps, kindOps, fpOps, kidOps, issOps deltaOps
+	var catOps, excOps, provOps, kindOps, issOps deltaOps
 	var chainOps, invOps, failOps listOps
 
 	// Walk the changed indices in ascending corpus order, retracting each
@@ -182,24 +193,6 @@ func (s *Set) ApplyDelta(changed []scanner.Result) (*Set, error) {
 			}
 		}
 
-		ofp, nfp := fpOf(or), fpOf(nr)
-		if ochain != nchain || (ochain && ofp != nfp) {
-			if ochain {
-				fpOps.remove(s.fpIdx.tab.lookup(ofp), i)
-			}
-			if nchain {
-				fpOps.insert(s.fpIdx.tab.slot(nfp), i)
-			}
-		}
-		okid, nkid := kidOf(or), kidOf(nr)
-		if ochain != nchain || (ochain && okid != nkid) {
-			if ochain {
-				kidOps.remove(s.kidIdx.tab.lookup(okid), i)
-			}
-			if nchain {
-				kidOps.insert(s.kidIdx.tab.slot(nkid), i)
-			}
-		}
 		if ocn != ncn {
 			if ocn != "" {
 				issOps.remove(s.issIdx.tab.lookup(ocn), i)
@@ -239,8 +232,6 @@ func (s *Set) ApplyDelta(changed []scanner.Result) (*Set, error) {
 	ns.excIdx = applyOps(s.excIdx, &excOps)
 	ns.provIdx = applyOps(s.provIdx, &provOps)
 	ns.kindIdx = applyOps(s.kindIdx, &kindOps)
-	ns.fpIdx = applyOps(s.fpIdx, &fpOps)
-	ns.kidIdx = applyOps(s.kidIdx, &kidOps)
 	ns.issIdx = applyOps(s.issIdx, &issOps)
 
 	ns.chained = chainOps.splice(s.chained)
@@ -292,20 +283,6 @@ func aggAdjust(a *CountryAgg, r *scanner.Result, d int) {
 	if r.ValidHTTPS() {
 		a.Valid += d
 	}
-}
-
-func fpOf(r *scanner.Result) [32]byte {
-	if len(r.Chain) == 0 {
-		return [32]byte{}
-	}
-	return r.Chain[0].Fingerprint()
-}
-
-func kidOf(r *scanner.Result) cert.KeyID {
-	if len(r.Chain) == 0 {
-		return cert.KeyID{}
-	}
-	return r.Chain[0].PublicKey.ID
 }
 
 // deltaOps batches one bucket family's edits: per-slot removal and

@@ -2,9 +2,14 @@ package resultset_test
 
 import (
 	"context"
+	"encoding/binary"
 	"math/rand"
+	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 
+	"repro/internal/cert"
 	"repro/internal/resultset"
 	"repro/internal/scanner"
 	"repro/internal/world"
@@ -158,4 +163,142 @@ func TestApplyDeltaIdentityAndErrors(t *testing.T) {
 	if _, err := base.ApplyDelta([]scanner.Result{bogus}); err == nil {
 		t.Fatal("unknown host accepted")
 	}
+}
+
+// rotateLeaf returns r with a freshly issued leaf: a new serial and key
+// identity (so a new fingerprint and key ID) under the given issuer CN,
+// every other field unchanged. The certificates r shares are not touched.
+func rotateLeaf(r scanner.Result, gen int, issuerCN string) scanner.Result {
+	leaf := r.Chain[0].Clone()
+	leaf.SerialNumber = uint64(1)<<40 | uint64(gen)
+	binary.BigEndian.PutUint64(leaf.PublicKey.ID[:8], uint64(1)<<40|uint64(gen))
+	leaf.Issuer.CommonName = issuerCN
+	leaf.Freeze()
+	r.Chain = append([]*cert.Certificate{leaf}, r.Chain[1:]...)
+	return r
+}
+
+// TestLongDeltaChainMatchesRebuild runs the observatory's load shape as a
+// model test: a chain of one-row generations over a corpus where every
+// row has a chain, each rotating one leaf — a new fingerprint and key ID
+// per generation, as certificate renewal produces — walking the corpus
+// so the overlay crosses the 1/8 compaction trigger again and again. At
+// checkpoints every accessor must equal a from-scratch build over the
+// same rows. A generation's cost must not grow with the chain: bytes
+// allocated per delta over the last 100 generations stay within 1.5x of
+// the first 100 (a per-delta copy of any vector indexed by every key the
+// chain ever minted fails this).
+func TestLongDeltaChainMatchesRebuild(t *testing.T) {
+	const corpus, gens, window = 200, 1000, 100
+	opts := testOptions()
+	var rows []scanner.Result
+	for _, r := range raw(t) {
+		if len(r.Chain) > 0 && len(rows) < corpus {
+			rows = append(rows, r)
+		}
+	}
+	if len(rows) < corpus {
+		t.Fatalf("test world has %d chain-bearing rows, need %d", len(rows), corpus)
+	}
+	// Rotations cycle through a few of the corpus's own issuers, so the
+	// issuer family is patched too while its key space stays fixed.
+	issuers := resultset.New(append([]scanner.Result(nil), rows...), opts).Issuers()
+	if len(issuers) > 4 {
+		issuers = issuers[:4]
+	}
+	if len(issuers) < 2 {
+		t.Fatalf("corpus has %d issuers, need 2", len(issuers))
+	}
+
+	cur := resultset.New(append([]scanner.Result(nil), rows...), opts)
+	// Build the host index up front (it is inherited along the chain), so
+	// the first window measures deltas alone.
+	cur.Lookup(rows[0].Hostname)
+	var ms runtime.MemStats
+	var firstBytes, lastBytes uint64
+	for g := 0; g < gens; g++ {
+		// 37 is coprime to the corpus size, so consecutive generations
+		// touch distinct rows and the overlay grows until it compacts.
+		j := g * 37 % corpus
+		rows[j] = rotateLeaf(rows[j], g, issuers[g%len(issuers)])
+		delta := []scanner.Result{rows[j]}
+
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		next, err := cur.ApplyDelta(delta)
+		runtime.ReadMemStats(&ms)
+		if err != nil {
+			t.Fatalf("generation %d: %v", g, err)
+		}
+		switch {
+		case g < window:
+			firstBytes += ms.TotalAlloc - before
+		case g >= gens-window:
+			lastBytes += ms.TotalAlloc - before
+		}
+		cur = next
+
+		if g%100 == 0 || g == gens-1 {
+			assertSetsEqual(t, cur, resultset.New(append([]scanner.Result(nil), rows...), opts))
+			if t.Failed() {
+				t.Fatalf("generation %d diverges from a rebuild", g)
+			}
+		}
+	}
+	first, last := float64(firstBytes)/window, float64(lastBytes)/window
+	t.Logf("bytes per delta: first %d generations %.0f, last %d %.0f (%.2fx)", window, first, window, last, last/first)
+	if last > 1.5*first {
+		t.Fatalf("bytes per delta grew with the chain: last %d generations %.0f > 1.5 x first %d %.0f", window, last, window, first)
+	}
+}
+
+// TestKeyFamiliesConcurrentFirstUse: the lazily built fingerprint and
+// key-ID families may be first asked for by several readers of one
+// generation at once (the serving layer reads a pinned generation from
+// many goroutines). Every reader must see the same families a fresh
+// build over the patched rows has. Run under -race.
+func TestKeyFamiliesConcurrentFirstUse(t *testing.T) {
+	base := set(t)
+	rows := append([]scanner.Result(nil), raw(t)...)
+	var delta []scanner.Result
+	for i := range rows {
+		if len(rows[i].Chain) > 0 && len(delta) < 8 {
+			rows[i] = rotateLeaf(rows[i], i, rows[i].Chain[0].Issuer.CommonName)
+			delta = append(delta, rows[i])
+		}
+	}
+	gen, err := base.ApplyDelta(delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := resultset.New(rows, testOptions())
+	wantFPs, wantKIDs := want.Fingerprints(), want.KeyIDs()
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			// Half the readers start from the bucket accessors, half
+			// from the key lists, so either can be the one that builds.
+			if g%2 == 0 {
+				if got, w := gen.ByKeyID(wantKIDs[0]), want.ByKeyID(wantKIDs[0]); !reflect.DeepEqual(got, w) {
+					t.Errorf("reader %d: ByKeyID = %v, want %v", g, got, w)
+				}
+			}
+			if !reflect.DeepEqual(gen.Fingerprints(), wantFPs) {
+				t.Errorf("reader %d: fingerprint order diverges", g)
+			}
+			if !reflect.DeepEqual(gen.KeyIDs(), wantKIDs) {
+				t.Errorf("reader %d: key-ID order diverges", g)
+			}
+			for _, fp := range wantFPs {
+				if !reflect.DeepEqual(gen.ByFingerprint(fp), want.ByFingerprint(fp)) {
+					t.Errorf("reader %d: ByFingerprint diverges", g)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -16,7 +16,10 @@
 // every index key to a dense id and counting bucket cardinalities; pass B
 // fills exact-size flat []int bucket arrays from the recorded ids. No
 // bucket is grown incrementally and no per-result map insert happens on
-// the category/exception hot path.
+// the category/exception hot path. The fingerprint and key-ID families
+// are the exception to eager building: each Set builds them the same way
+// over its chain-bearing rows on first use, because their key spaces
+// grow with every certificate rotation a delta chain absorbs.
 //
 // Determinism contract: results are added in scan input order, every
 // index bucket stores ascending result indices, and every key list
@@ -122,9 +125,14 @@ type Set struct {
 	ccIdx   index[string]
 	provIdx index[string]       // available hosts only
 	kindIdx index[hosting.Kind] // available hosts only
-	fpIdx   index[[32]byte]
-	kidIdx  index[cert.KeyID]
-	issIdx  index[string] // leaf issuer CN, "" excluded
+	issIdx  index[string]       // leaf issuer CN, "" excluded
+
+	// The fingerprint and key-ID families are built per generation on
+	// first use (chainKeyIndex); ApplyDelta never maintains them, because
+	// their key spaces grow with every certificate rotation.
+	keysOnce sync.Once
+	fpIdx    index[[32]byte]
+	kidIdx   index[cert.KeyID]
 
 	countries []string // sorted at build
 	ccAggs    map[string]CountryAgg
@@ -245,6 +253,7 @@ const (
 	flagInvalid = 1 << iota
 	flagFailedUpgrade
 	flagRanked
+	flagChained
 )
 
 const excNonePos = 255 // excP sentinel: result carries no exception
@@ -268,30 +277,24 @@ func build(results []scanner.Result, opts Options) *Set {
 	ccP := make([]int32, n)
 	provP := make([]int32, n)
 	kindP := make([]int8, n)
-	fpP := make([]int32, n)
-	kidP := make([]int32, n)
 	issP := make([]int32, n)
 	rankB := make([]int16, n)
 	flags := make([]uint8, n)
 
 	// Key interning state, first-seen order, and per-bucket counts.
 	var catPos, excPos, kindPos, sigPos, verPos densePos
-	var catCount, excCount, kindCount, ccCount, provCount, issCount, fpCount, kidCount []int32
+	var catCount, excCount, kindCount, ccCount, provCount, issCount []int32
 	var rbCount []int32
 
 	var cats []scanner.Category
 	var excs []scanner.Exception
 	var ccs, provs, isss []string
 	var kinds []hosting.Kind
-	var fps [][32]byte
-	var kids []cert.KeyID
 
 	ccPos := make(map[string]int32, 64)
 	var ccAgg []CountryAgg
 	provPos := make(map[string]int32, 16)
 	issPos := make(map[string]int32, 64)
-	fpPos := make(map[[32]byte]int32, n/2)
-	kidPos := make(map[cert.KeyID]int32, n/2)
 	hkPos := make(map[uint64]int32, 8)
 	combPos := make(map[uint64]int32, 16)
 
@@ -426,32 +429,11 @@ func build(results []scanner.Result, opts Options) *Set {
 			}
 		}
 
-		fpP[i], kidP[i], issP[i] = -1, -1, -1
+		issP[i] = -1
 		if len(r.Chain) > 0 {
+			f |= flagChained
 			chainedN++
 			leaf := r.Chain[0]
-
-			fp := leaf.Fingerprint()
-			p, seen := fpPos[fp]
-			if !seen {
-				p = int32(len(fps))
-				fpPos[fp] = p
-				fps = append(fps, fp)
-				fpCount = append(fpCount, 0)
-			}
-			fpP[i] = p
-			fpCount[p]++
-
-			id := leaf.PublicKey.ID
-			p, seen = kidPos[id]
-			if !seen {
-				p = int32(len(kids))
-				kidPos[id] = p
-				kids = append(kids, id)
-				kidCount = append(kidCount, 0)
-			}
-			kidP[i] = p
-			kidCount[p]++
 
 			if cn := leaf.Issuer.CommonName; cn != "" {
 				s.issuerDomain++
@@ -537,8 +519,6 @@ func build(results []scanner.Result, opts Options) *Set {
 	ccFlat := newFlatIndex(ccCount)
 	provFlat := newFlatIndex(provCount)
 	kindFlat := newFlatIndex(kindCount)
-	fpFlat := newFlatIndex(fpCount)
-	kidFlat := newFlatIndex(kidCount)
 	issFlat := newFlatIndex(issCount)
 	var rbFlat *flatIndex
 	if rankEnabled {
@@ -563,15 +543,13 @@ func build(results []scanner.Result, opts Options) *Set {
 			provFlat.put(p, i)
 			kindFlat.put(int32(kindP[i]), i)
 		}
-		if p := fpP[i]; p >= 0 {
-			fpFlat.put(p, i)
-			kidFlat.put(kidP[i], i)
-			s.chained = append(s.chained, i)
-			if ip := issP[i]; ip >= 0 {
-				issFlat.put(ip, i)
-			}
-		}
 		f := flags[i]
+		if f&flagChained != 0 {
+			s.chained = append(s.chained, i)
+		}
+		if p := issP[i]; p >= 0 {
+			issFlat.put(p, i)
+		}
 		if f&flagInvalid != 0 {
 			s.invalidIdx = append(s.invalidIdx, i)
 			s.invalidHosts = append(s.invalidHosts, results[i].Hostname)
@@ -595,8 +573,6 @@ func build(results []scanner.Result, opts Options) *Set {
 	s.ccIdx = builtIndex(ccs, ccPos, ccFlat)
 	s.provIdx = builtIndex(provs, provPos, provFlat)
 	s.kindIdx = builtIndex(kinds, nil, kindFlat)
-	s.fpIdx = builtIndex(fps, fpPos, fpFlat)
-	s.kidIdx = builtIndex(kids, kidPos, kidFlat)
 	s.issIdx = builtIndex(isss, issPos, issFlat)
 
 	// Countries sort; the intern table keeps slot (first-seen) order, so
@@ -622,6 +598,46 @@ func build(results []scanner.Result, opts Options) *Set {
 	s.combinedIdx = builtCells(combKeys, nil, combinedCells, combFirst)
 	s.versionIdx = builtCells(verKeys, nil, versionCells, verFirst)
 	return s
+}
+
+// buildKeyIndexes builds this generation's fingerprint and key-ID
+// families (once, on first use).
+func (s *Set) buildKeyIndexes() {
+	s.fpIdx = chainKeyIndex(s, (*cert.Certificate).Fingerprint)
+	s.kidIdx = chainKeyIndex(s, leafKeyID)
+}
+
+func leafKeyID(c *cert.Certificate) cert.KeyID { return c.PublicKey.ID }
+
+// chainKeyIndex builds one leaf-certificate key family over the
+// chain-bearing rows with the same two passes as build: intern each
+// row's key to its first-seen slot while counting, then fill exact-size
+// flat buckets. Walking s.chained ascending gives the same key order and
+// ascending buckets as a walk of the whole corpus, and rows are read
+// through At, so a delta generation builds over its overlay without
+// materializing the flat view.
+func chainKeyIndex[K comparable](s *Set, keyOf func(*cert.Certificate) K) index[K] {
+	slots := make([]int32, len(s.chained))
+	pos := make(map[K]int32, len(s.chained))
+	var keys []K
+	var counts []int32
+	for j, i := range s.chained {
+		k := keyOf(s.At(i).Chain[0])
+		p, seen := pos[k]
+		if !seen {
+			p = int32(len(keys))
+			pos[k] = p
+			keys = append(keys, k)
+			counts = append(counts, 0)
+		}
+		slots[j] = p
+		counts[p]++
+	}
+	f := newFlatIndex(counts)
+	for j, i := range s.chained {
+		f.put(slots[j], i)
+	}
+	return builtIndex(keys, pos, f)
 }
 
 func bumpCell(c *Cell, valid bool) {
@@ -794,17 +810,29 @@ func (s *Set) IssuerAnalyzed() int { return s.issuerDomain }
 
 // Fingerprints lists the distinct leaf-certificate fingerprints, in
 // first-seen order.
-func (s *Set) Fingerprints() [][32]byte { return s.fpIdx.orderedKeys() }
+func (s *Set) Fingerprints() [][32]byte {
+	s.keysOnce.Do(s.buildKeyIndexes)
+	return s.fpIdx.orderedKeys()
+}
 
 // ByFingerprint returns the result indices serving one exact certificate.
-func (s *Set) ByFingerprint(fp [32]byte) []int { return s.fpIdx.bucket(fp) }
+func (s *Set) ByFingerprint(fp [32]byte) []int {
+	s.keysOnce.Do(s.buildKeyIndexes)
+	return s.fpIdx.bucket(fp)
+}
 
 // KeyIDs lists the distinct leaf public-key identities, in first-seen
 // order.
-func (s *Set) KeyIDs() []cert.KeyID { return s.kidIdx.orderedKeys() }
+func (s *Set) KeyIDs() []cert.KeyID {
+	s.keysOnce.Do(s.buildKeyIndexes)
+	return s.kidIdx.orderedKeys()
+}
 
 // ByKeyID returns the result indices serving one public key.
-func (s *Set) ByKeyID(id cert.KeyID) []int { return s.kidIdx.bucket(id) }
+func (s *Set) ByKeyID(id cert.KeyID) []int {
+	s.keysOnce.Do(s.buildKeyIndexes)
+	return s.kidIdx.bucket(id)
+}
 
 // Providers lists the hosting providers of available hosts, first-seen.
 func (s *Set) Providers() []string { return s.provIdx.orderedKeys() }

@@ -60,14 +60,14 @@ type Config struct {
 }
 
 const (
-	defaultDataset     = "worldwide"
-	defaultQueryConc   = 256
-	defaultExportConc  = 32
-	defaultPageLimit   = 100
-	defaultRetryAfter  = time.Second
-	exportFlushSize    = 64 << 10
-	exportBufSlack     = 4096
-	bodyBufSize        = 4 << 10
+	defaultDataset    = "worldwide"
+	defaultQueryConc  = 256
+	defaultExportConc = 32
+	defaultPageLimit  = 100
+	defaultRetryAfter = time.Second
+	exportFlushSize   = 64 << 10
+	exportBufSlack    = 4096
+	bodyBufSize       = 4 << 10
 )
 
 // Server is the HTTP query API. Create with New; the zero value is not
