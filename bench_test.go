@@ -357,14 +357,11 @@ func BenchmarkCTInclusionProof(b *testing.B) {
 	}
 }
 
-// --- Report-suite benches ---
-//
-// The pair measures the full 36-experiment pipeline (govreport -all) end to
-// end on a private study per iteration: sequentially, and through the
-// dependency-aware scheduler. The outputs are byte-identical; the scheduled
-// run pre-warms datasets and shares caches across experiments.
+// --- Report-suite bench ---
 
-func benchReportSuite(b *testing.B, opts core.SuiteOptions) {
+// BenchmarkReportSuite measures the full 36-experiment pipeline
+// (govreport -all) end to end on a private study per iteration.
+func BenchmarkReportSuite(b *testing.B) {
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -372,7 +369,7 @@ func benchReportSuite(b *testing.B, opts core.SuiteOptions) {
 		b.StopTimer()
 		s := core.MustNewStudy(world.Config{Seed: 42, Scale: benchScale() / 5})
 		b.StartTimer()
-		results, err := core.RunAllExperiments(ctx, s, opts)
+		results, err := core.RunAllExperiments(ctx, s, core.SuiteOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -381,24 +378,6 @@ func benchReportSuite(b *testing.B, opts core.SuiteOptions) {
 		}
 	}
 }
-
-// BenchmarkReportSuite is the scheduled full-report pipeline under the
-// effective-parallelism policy: on a single-CPU host it falls back to
-// the sequential loop (the pool cannot win there), on a multi-CPU host
-// it runs the segment scheduler at Jobs=4.
-func BenchmarkReportSuite(b *testing.B) { benchReportSuite(b, core.SuiteOptions{Jobs: 4}) }
-
-// BenchmarkReportSuiteForced pins the concurrent scheduler on regardless
-// of GOMAXPROCS — the honest record of what the pool itself costs on
-// this host (0.88x on the 1-core CI machine, which is exactly why the
-// policy falls back).
-func BenchmarkReportSuiteForced(b *testing.B) {
-	benchReportSuite(b, core.SuiteOptions{Jobs: 4, ForceParallel: true})
-}
-
-// BenchmarkReportSuiteSequential is the plain registry-order loop, for the
-// live sequential-vs-scheduled comparison.
-func BenchmarkReportSuiteSequential(b *testing.B) { benchReportSuite(b, core.SuiteOptions{Jobs: 1}) }
 
 // BenchmarkJSONExport measures the zgrab-style JSON-lines serialization.
 // Its allocs/op is gated in scripts/bench_scan.sh: the zero-copy exporter

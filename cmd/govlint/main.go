@@ -2,13 +2,12 @@
 // concurrency invariants: no wall-clock reads outside sanctioned packages
 // (walltime), no process-global or constant-seeded RNGs (globalrand), no
 // unordered map iteration in deterministic packages (maprange), no enum
-// switch that silently drops a taxonomy class (exhaustive), experiment
-// Datasets declarations that match what Run actually fetches
-// (datasetdecl), no unsynchronised writes across goroutine spawns
-// (goroutineowner), zero-allocation idioms on the declared hot paths
-// (hotalloc), and no goroutines parked forever on unbuffered channels
-// (chanleak). See internal/lint for the framework and DESIGN.md "Static
-// analysis & enforced invariants" for the rationale.
+// switch that silently drops a taxonomy class (exhaustive), no
+// unsynchronised writes across goroutine spawns (goroutineowner),
+// zero-allocation idioms on the declared hot paths (hotalloc), and no
+// goroutines parked forever on unbuffered channels (chanleak). See
+// internal/lint for the framework and DESIGN.md "Static analysis &
+// enforced invariants" for the rationale.
 //
 // Usage:
 //

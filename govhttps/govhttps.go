@@ -81,18 +81,15 @@ func RunExperiment(ctx context.Context, s *Study, id string) (string, error) {
 	return core.RunExperiment(ctx, s, id)
 }
 
-// SuiteOptions tunes RunAllExperiments: Jobs bounds experiment and
-// dataset-warming concurrency (0 = GOMAXPROCS, 1 = sequential).
+// SuiteOptions is RunAllExperiments' options struct. It has no fields;
+// pass SuiteOptions{}.
 type SuiteOptions = core.SuiteOptions
 
 // SuiteResult is one rendered artifact from RunAllExperiments.
 type SuiteResult = core.SuiteResult
 
-// RunAllExperiments regenerates the entire registry. Datasets are
-// pre-warmed concurrently and independent experiments run on a bounded
-// worker pool, but results come back in registry order and — on the
-// default fault-free worlds — byte-identical to a sequential RunExperiment
-// loop at any Jobs setting.
+// RunAllExperiments regenerates the entire registry in order, stopping
+// at the first error and returning the artifacts rendered before it.
 func RunAllExperiments(ctx context.Context, s *Study, opts SuiteOptions) ([]SuiteResult, error) {
 	return core.RunAllExperiments(ctx, s, opts)
 }

@@ -2,9 +2,7 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"os"
-	"strings"
 	"sync"
 	"testing"
 
@@ -152,39 +150,27 @@ func TestDatasetRaceUnderStoreSwitches(t *testing.T) {
 	}
 }
 
-// TestExperimentsMatchGolden is the refactor's differential proof: every
-// experiment, regenerated through the dataset registry and the indexed
-// result sets, must be byte-identical to the committed pre-refactor golden
-// transcript at the same seed.
+// TestExperimentsMatchGolden is the suite's differential proof: the full
+// registry, run through RunAllExperiments and framed by
+// report.WriteArtifact exactly as govreport -all writes it, must be
+// byte-identical to the committed golden transcript at the same seed.
 func TestExperimentsMatchGolden(t *testing.T) {
-	s := MustNewStudy(world.TestConfig())
-	ctx := context.Background()
-	var b strings.Builder
-	for _, e := range Experiments() {
-		out, err := e.Run(ctx, s)
-		if err != nil {
-			t.Fatalf("%s: %v", e.ID, err)
-		}
-		fmt.Fprintf(&b, "### %s — %s\n\n%s\n", e.ID, e.Title, out)
-	}
+	got := suiteTranscript(t, MustNewStudy(world.TestConfig()))
 
 	const goldenPath = "../../results/golden_experiments_seed74.txt"
 	if os.Getenv("GOVHTTPS_UPDATE_GOLDEN") != "" {
-		if err := os.WriteFile(goldenPath, []byte(b.String()), 0o644); err != nil {
+		if err := os.WriteFile(goldenPath, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Skipf("golden transcript rewritten (%d bytes)", b.Len())
+		t.Skipf("golden transcript rewritten (%d bytes)", len(got))
 	}
 	golden, err := os.ReadFile(goldenPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	if got := b.String(); got != string(golden) {
-		diffAt := 0
-		for diffAt < len(got) && diffAt < len(golden) && got[diffAt] == golden[diffAt] {
-			diffAt++
-		}
+	if got != string(golden) {
+		diffAt := firstDiff(got, string(golden))
 		lo := diffAt - 200
 		if lo < 0 {
 			lo = 0

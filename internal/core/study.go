@@ -397,7 +397,7 @@ func (s *Study) Rand(label string) *rand.Rand {
 // campaign mutates the serving world — rotated certificates stay deployed
 // — so the result is memoized for the study's lifetime and the worldwide
 // dataset is patch-invalidated for exactly the changed hosts. Like S722
-// and E4, callers that hold no barrier must not scan concurrently.
+// and E4, callers must not scan concurrently with it.
 func (s *Study) FleetReport(ctx context.Context) (*acmefleet.Report, acmefleet.ChaosOutcome, error) {
 	// Resolve the worldwide snapshot before taking the fleet lock:
 	// enrollment reads it, and the scan must complete before the campaign

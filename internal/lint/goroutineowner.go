@@ -1,11 +1,11 @@
 // The goroutineowner analyzer enforces the single-owner discipline the
-// concurrent subsystems rely on (scheduler worker pools, the fleet's
-// dispatch loop, the scan worker pool): a variable captured by a
-// go-statement closure must be written on only one side of the spawn
-// unless the two sides hand ownership off through a mutex, a WaitGroup
-// join, or a channel synchronization. The -race detector finds these
-// races only when the schedule cooperates; this pass finds the pattern
-// statically.
+// concurrent subsystems rely on (the fleet's dispatch loop, the scan
+// worker pool, the crawler and world-build workers): a variable captured
+// by a go-statement closure must be written on only one side of the
+// spawn unless the two sides hand ownership off through a mutex, a
+// WaitGroup join, or a channel synchronization. The -race detector finds
+// these races only when the schedule cooperates; this pass finds the
+// pattern statically.
 //
 // The check is deliberately narrow to stay precise: only direct writes to
 // the captured variable itself (x = …, x++, x += …) count. Writes through

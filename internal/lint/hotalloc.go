@@ -23,8 +23,8 @@ import (
 	"strings"
 )
 
-// HotAlloc builds the analyzer for a set of hot-path function patterns in
-// FuncKey notation ("pkgpath.Func", "pkgpath.Recv.Method"), where a
+// HotAlloc builds the analyzer for a set of hot-path function patterns of
+// the form "pkgpath.Func" or "pkgpath.Recv.Method", where a
 // trailing * matches any suffix of the final name segment.
 func HotAlloc(funcs ...string) *Analyzer {
 	byPkg := make(map[string][]hotPat)

@@ -5,13 +5,11 @@
 # The baselines were measured on the same class of host the CI bench job
 # uses (one core, default GOVHTTPS_BENCH_SCALE=0.05): the scan-path numbers
 # at the commit before the throughput overhaul (verify cache, worker-pool
-# ScanAll, batched journal, parallel world build), and ReportSuite /
-# JSONExport allocs at the commit before the experiment scheduler and the
-# zero-copy exporter.
+# ScanAll, batched journal, parallel world build), and JSONExport allocs
+# at the commit before the zero-copy exporter.
 #
-# Pairs whose baseline is a live benchmark (ReportSuite vs
-# ReportSuiteSequential, AggregateIndexed vs AggregateLegacy) re-derive
-# the baseline from the same run on the same commit, so the table can't
+# The aggregation pair (AggregateIndexed vs AggregateLegacy) re-derives
+# its baseline from the same run on the same commit, so the table can't
 # silently compare different workloads.
 #
 # Incremental-patch honesty: ApplyDelta vs the full rebuild is measured
@@ -21,12 +19,8 @@
 # back; 0 when the delta wins everywhere measured). The observatory
 # section records the continuous loop's wall clock and re-scan throughput.
 #
-# Report-suite honesty: the scheduled number is measured under the
-# effective-parallelism policy (which falls back to the sequential loop
-# on a 1-core host), and the forced-parallel number — the pool's true
-# cost on this machine — is recorded right next to it
-# (report_suite.forced_speedup_vs_sequential), so the cost that motivated
-# the policy stays visible instead of being papered over.
+# Report suite: the full 36-experiment pipeline is recorded as ns/op and
+# allocs/op at the host's GOMAXPROCS, with no baseline.
 #
 # Serve: the query API is measured through the deterministic load
 # generator at clients ∈ {1, 4, 16} for three mixes — cached aggregates,
@@ -62,10 +56,8 @@ full_scale="1.0"
 # over one shared pre-collected result slice (the scan runs outside every
 # timed region): the one-shot indexed build and the per-experiment loops
 # the analysis layer ran before the dataset-registry refactor.
-# ReportSuite/ReportSuiteSequential are the same live pair for the
-# experiment scheduler.
 raw=""
-for b in ScanWorldwide WorldBuild ScanSingleHost JSONExport ReportSuite ReportSuiteForced ReportSuiteSequential AggregateIndexed AggregateLegacy RenewalFleet ApplyDelta ApplyDeltaRebuild Observatory ServeQuery ServeQueryUncached ServeExport; do
+for b in ScanWorldwide WorldBuild ScanSingleHost JSONExport ReportSuite AggregateIndexed AggregateLegacy RenewalFleet ApplyDelta ApplyDeltaRebuild Observatory ServeQuery ServeQueryUncached ServeExport; do
     raw+="$(go test -run '^$' -bench "^Benchmark${b}\$" -benchmem -count "${BENCH_COUNT:-3}" .)"
     raw+=$'\n'
 done
@@ -86,17 +78,12 @@ BEGIN {
     base["WorldBuild"]     = 22436147
     base["ScanSingleHost"] = 101503
     base["JSONExport"]     = 8780592
-    # ReportSuite has no recorded entry: its baseline is re-derived in END
-    # from the same-run ReportSuiteSequential measurement, so the pair can
-    # never compare different workloads (the old hard-coded number predated
-    # the 36-experiment suite and produced a bogus speedup).
     # allocs/op of the reflection-based JSON exporter before the
     # zero-copy rewrite; the gate below fails the job on regression.
     base_allocs["JSONExport"] = 18658
     order[1] = "ScanWorldwide"; order[2] = "WorldBuild"
     order[3] = "ScanSingleHost"; order[4] = "JSONExport"
-    order[5] = "ReportSuite"
-    nOrder = 5
+    nOrder = 4
     patchKs = "100 1000 10000"
     serveClients = "1 4 16"
     # Allocations allowed per cached serve request at clients=1 (measured
@@ -187,9 +174,6 @@ function patchBlock(p, s, gated,    i, n, kc, d, rb, sp, sep) {
     printf "    \"gate_enforced\": %s\n", gated > out
 }
 END {
-    # Satellite fix: the scheduled suite is baselined against the
-    # sequential run from this same invocation, not a recorded number.
-    base["ReportSuite"] = cur["ReportSuiteSequential"]
     printf "{\n  \"scale\": %s,\n", (ENVIRON["GOVHTTPS_BENCH_SCALE"] != "" ? ENVIRON["GOVHTTPS_BENCH_SCALE"] : "0.05") > out
     printf "  \"baseline_ns_per_op\": {" > out
     for (i = 1; i <= nOrder; i++)
@@ -207,18 +191,11 @@ END {
     printf "    \"indexed_ns_per_op\": %d,\n", cur["AggregateIndexed"] > out
     printf "    \"legacy_ns_per_op\": %d,\n", cur["AggregateLegacy"] > out
     printf "    \"speedup\": %.2f\n", (cur["AggregateIndexed"] > 0 ? cur["AggregateLegacy"] / cur["AggregateIndexed"] : 0) > out
-    # Report-suite triple: all sides measured live in this run — the
-    # sequential loop baselines both the policy run (which itself falls
-    # back to sequential on a 1-core host) and the forced-parallel run
-    # (the honest cost of the pool on this machine, recorded so the cost
-    # that motivated the fallback policy stays visible).
+    # Report suite: the full pipeline at the recorded GOMAXPROCS.
     printf "  },\n  \"report_suite\": {\n" > out
     printf "    \"gomaxprocs\": %d,\n", gmp > out
-    printf "    \"scheduled_ns_per_op\": %d,\n", cur["ReportSuite"] > out
-    printf "    \"forced_parallel_ns_per_op\": %d,\n", cur["ReportSuiteForced"] > out
-    printf "    \"sequential_ns_per_op\": %d,\n", cur["ReportSuiteSequential"] > out
-    printf "    \"speedup_vs_sequential\": %.2f,\n", (cur["ReportSuite"] > 0 ? cur["ReportSuiteSequential"] / cur["ReportSuite"] : 0) > out
-    printf "    \"forced_speedup_vs_sequential\": %.2f\n", (cur["ReportSuiteForced"] > 0 ? cur["ReportSuiteSequential"] / cur["ReportSuiteForced"] : 0) > out
+    printf "    \"ns_per_op\": %d,\n", cur["ReportSuite"] > out
+    printf "    \"allocs_per_op\": %d\n", allocs["ReportSuite"] > out
     # Incremental patch at the default scale: recorded for the curve, the
     # gate reads the full-scale block (the corpus the 5x claim is about).
     printf "  },\n  \"incremental_patch\": {\n" > out
