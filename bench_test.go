@@ -53,8 +53,8 @@ func benchScale() float64 {
 }
 
 // study returns the shared, warm benchmark study.
-func study(b *testing.B) *core.Study {
-	b.Helper()
+func study(tb testing.TB) *core.Study {
+	tb.Helper()
 	benchOnce.Do(func() {
 		benchStudy = core.MustNewStudy(world.Config{Seed: 42, Scale: benchScale()})
 		// Warm every scan cache outside the timed region.
@@ -380,8 +380,7 @@ func BenchmarkReportSuite(b *testing.B) {
 }
 
 // BenchmarkJSONExport measures the zgrab-style JSON-lines serialization.
-// Its allocs/op is gated in scripts/bench_scan.sh: the zero-copy exporter
-// runs allocation-free at steady state, and a regression fails the bench job.
+// TestGateJSONExportAllocs gates its allocations per export.
 func BenchmarkJSONExport(b *testing.B) {
 	s := study(b)
 	results := s.Worldwide(context.Background())
@@ -400,9 +399,8 @@ func BenchmarkExtensionACMEPolicy(b *testing.B)  { benchExperiment(b, "E6") }
 // BenchmarkRenewalFleet measures the §8.1 renewal campaign end to end:
 // order dispatch, http-01 validation round trips, issuance, zero-downtime
 // rotation and snapshotting, on a chaos-injected private world per
-// iteration (world build and scan stay outside the timed region). Its
-// renewals/op feeds the renewal_fleet throughput section of
-// BENCH_scan.json in scripts/bench_scan.sh.
+// iteration (world build and scan stay outside the timed region). govbench
+// `study` times the E7/E8 campaign as its acmefleet.campaign_s layer.
 func BenchmarkRenewalFleet(b *testing.B) {
 	ctx := context.Background()
 	b.ReportAllocs()
@@ -433,191 +431,6 @@ func BenchmarkRenewalFleet(b *testing.B) {
 	b.ReportMetric(float64(renewals), "renewals/op")
 }
 
-// --- Aggregation benches ---
-//
-// The benches below measure the refactor's core trade: one indexed build
-// pass serving every downstream aggregate, versus the per-experiment
-// loops the analysis layer used to run over the raw slice. Both sides
-// consume the same pre-collected result slice (the scan runs once,
-// outside every timed region — it used to sit inside both timers, where
-// its ~20x larger cost and noise drowned the aggregation delta the
-// section claims to measure).
-
-// benchAggRaw returns the warm worldwide raw slice shared by the
-// aggregation benches.
-func benchAggRaw(b *testing.B) []scanner.Result {
-	b.Helper()
-	return study(b).Worldwide(context.Background()).Results()
-}
-
-// checkAggSet guards against dead-code elimination of a built Set.
-func checkAggSet(b *testing.B, set *resultset.Set) {
-	b.Helper()
-	n := set.Counts().Total + len(set.CountryAggs()) + len(set.Issuers()) +
-		len(set.Fingerprints()) + len(set.HostKeyCells())
-	if n == 0 {
-		b.Fatal("empty aggregates")
-	}
-}
-
-// BenchmarkAggregateIndexed times the two-pass index build: one walk
-// interning keys and counting cardinalities, one fill into exact-size
-// flat buckets — producing every aggregate the experiments consume.
-func BenchmarkAggregateIndexed(b *testing.B) {
-	s := study(b)
-	raw := benchAggRaw(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		checkAggSet(b, resultset.New(raw, resultset.Options{CountryOf: s.CountryOf}))
-	}
-	b.ReportMetric(float64(len(raw)), "hosts/op")
-}
-
-// BenchmarkAggregateLegacy re-runs the pre-refactor pattern: every
-// experiment family walks the raw slice with its own loop, rebuilding the
-// same aggregates the indexed Set derives in one pass — the Table 2
-// tally, per-country rollup, issuer breakdown, fingerprint and key-ID
-// clustering, key/signature/version cells, and the disclosure host lists.
-func BenchmarkAggregateLegacy(b *testing.B) {
-	s := study(b)
-	rawResults := benchAggRaw(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		raw := rawResults
-		// T2: taxonomy tally.
-		byCat := map[scanner.Category]int{}
-		hsts, both := 0, 0
-		for j := range raw {
-			byCat[raw[j].Category()]++
-			if raw[j].Category() == scanner.CatValid && raw[j].HSTS {
-				hsts++
-			}
-			if raw[j].ServesHTTP && raw[j].ServesHTTPS {
-				both++
-			}
-		}
-		// F1: per-country rollup.
-		type ccAgg struct{ hosts, avail, https, valid int }
-		countries := map[string]*ccAgg{}
-		for j := range raw {
-			cc := s.CountryOf(raw[j].Hostname)
-			if cc == "" {
-				continue
-			}
-			agg := countries[cc]
-			if agg == nil {
-				agg = &ccAgg{}
-				countries[cc] = agg
-			}
-			agg.hosts++
-			if raw[j].Available {
-				agg.avail++
-				if raw[j].HasHTTPS() {
-					agg.https++
-				}
-				if raw[j].ValidHTTPS() {
-					agg.valid++
-				}
-			}
-		}
-		// F2: issuer breakdown (total/valid per CA).
-		type issAgg struct{ total, valid int }
-		issuers := map[string]*issAgg{}
-		for j := range raw {
-			if len(raw[j].Chain) == 0 {
-				continue
-			}
-			cn := raw[j].Chain[0].Issuer.CommonName
-			agg := issuers[cn]
-			if agg == nil {
-				agg = &issAgg{}
-				issuers[cn] = agg
-			}
-			agg.total++
-			if raw[j].Verify.Valid() {
-				agg.valid++
-			}
-		}
-		// S533: fingerprint clustering with country spans.
-		fps := map[[32]byte][]string{}
-		fpCCs := map[[32]byte]map[string]bool{}
-		for j := range raw {
-			if len(raw[j].Chain) == 0 {
-				continue
-			}
-			fp := raw[j].Chain[0].Fingerprint()
-			fps[fp] = append(fps[fp], raw[j].Hostname)
-			if cc := s.CountryOf(raw[j].Hostname); cc != "" {
-				if fpCCs[fp] == nil {
-					fpCCs[fp] = map[string]bool{}
-				}
-				fpCCs[fp][cc] = true
-			}
-		}
-		// E3/§8: key-identity sharing.
-		keyHosts := map[string]int{}
-		for j := range raw {
-			if len(raw[j].Chain) > 0 {
-				keyHosts[string(raw[j].Chain[0].PublicKey.ID[:])]++
-			}
-		}
-		// F4: key/signature validity cells (incl. weak counts).
-		type cell struct{ total, valid int }
-		cells := map[string]*cell{}
-		weak, small := 0, 0
-		for j := range raw {
-			if len(raw[j].Chain) == 0 {
-				continue
-			}
-			leaf := raw[j].Chain[0]
-			ok := raw[j].Verify.Valid()
-			for _, label := range []string{
-				leaf.PublicKey.Label(),
-				leaf.SignatureAlgorithm.String(),
-				leaf.PublicKey.Label() + " / " + leaf.SignatureAlgorithm.String(),
-			} {
-				c := cells[label]
-				if c == nil {
-					c = &cell{}
-					cells[label] = c
-				}
-				c.total++
-				if ok {
-					c.valid++
-				}
-			}
-			if leaf.SignatureAlgorithm.IsWeak() {
-				weak++
-			}
-		}
-		// TLS version cells.
-		versions := map[string]int{}
-		for j := range raw {
-			if raw[j].HasHTTPS() && len(raw[j].Chain) > 0 {
-				versions[raw[j].TLSVersion.String()]++
-			}
-		}
-		// F13/notify: invalid hosts and failed upgrades.
-		var invalid []string
-		failed := 0
-		for j := range raw {
-			if raw[j].Category().IsInvalidHTTPS() {
-				invalid = append(invalid, raw[j].Hostname)
-			}
-			if raw[j].ServesHTTP && raw[j].ServesHTTPS && raw[j].ValidHTTPS() {
-				failed++
-			}
-		}
-		if len(byCat)+len(countries)+len(issuers)+len(fps)+len(keyHosts)+
-			len(cells)+len(versions)+len(invalid)+hsts+both+weak+small+failed == 0 {
-			b.Fatal("empty aggregates")
-		}
-	}
-	b.ReportMetric(float64(len(s.World.GovHosts)), "hosts/op")
-}
-
 // --- Incremental-delta benches ---
 //
 // The pair below measures the observatory's core trade: patching k changed
@@ -625,17 +438,16 @@ func BenchmarkAggregateLegacy(b *testing.B) {
 // delta) versus the pre-refactor dataset patch path, a full rebuild over
 // the corpus (cost proportional to the corpus regardless of k). Both
 // sides consume the same pre-built base set and the same changed-row
-// slice; scripts/bench_scan.sh sweeps k for the crossover point and gates
-// the k=100 speedup at the full-study scale.
+// slice; TestGateApplyDelta gates the k=100 speedup.
 
 // benchDeltaBase returns the warm base set plus k changed rows (evenly
 // spaced across the corpus, HSTS flipped so the delta is non-trivial).
-func benchDeltaBase(b *testing.B, k int) (*resultset.Set, []scanner.Result) {
-	b.Helper()
-	s := study(b)
+func benchDeltaBase(tb testing.TB, k int) (*resultset.Set, []scanner.Result) {
+	tb.Helper()
+	s := study(tb)
 	raw := s.Worldwide(context.Background()).Results()
 	if k >= len(raw) {
-		b.Skipf("k=%d >= corpus %d", k, len(raw))
+		tb.Skipf("k=%d >= corpus %d", k, len(raw))
 	}
 	base := resultset.New(raw, resultset.Options{CountryOf: s.CountryOf})
 	stride := len(raw) / k
@@ -649,6 +461,25 @@ func benchDeltaBase(b *testing.B, k int) (*resultset.Set, []scanner.Result) {
 }
 
 var benchDeltaKs = []int{100, 1000, 10000}
+
+// rebuildPatched is the replaced patch path: walk the full corpus,
+// substituting changed rows by hostname lookup, and index the patched
+// slice from scratch.
+func rebuildPatched(raw, changed []scanner.Result, opts resultset.Options) *resultset.Set {
+	idx := make(map[string]int, len(changed))
+	for j := range changed {
+		idx[changed[j].Hostname] = j
+	}
+	patched := make([]scanner.Result, len(raw))
+	for j := range raw {
+		if ci, ok := idx[raw[j].Hostname]; ok {
+			patched[j] = changed[ci]
+		} else {
+			patched[j] = raw[j]
+		}
+	}
+	return resultset.New(patched, opts)
+}
 
 // BenchmarkApplyDelta times the incremental index patch: splice k changed
 // rows into the base's shared-index chain without touching clean rows.
@@ -673,9 +504,8 @@ func BenchmarkApplyDelta(b *testing.B) {
 }
 
 // BenchmarkApplyDeltaRebuild is the replaced baseline: the full rebuild
-// dataset.Registry.patch ran before the ApplyDelta reroute — walk the
-// full corpus, substituting changed rows by hostname lookup, and index
-// the patched slice from scratch.
+// (rebuildPatched) dataset.Registry.patch ran before the ApplyDelta
+// reroute.
 func BenchmarkApplyDeltaRebuild(b *testing.B) {
 	for _, k := range benchDeltaKs {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
@@ -685,19 +515,7 @@ func BenchmarkApplyDeltaRebuild(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				idx := make(map[string]int, len(changed))
-				for j := range changed {
-					idx[changed[j].Hostname] = j
-				}
-				patched := make([]scanner.Result, len(raw))
-				for j := range raw {
-					if ci, ok := idx[raw[j].Hostname]; ok {
-						patched[j] = changed[ci]
-					} else {
-						patched[j] = raw[j]
-					}
-				}
-				if resultset.New(patched, opts).Len() != base.Len() {
+				if rebuildPatched(raw, changed, opts).Len() != base.Len() {
 					b.Fatal("rebuild changed corpus size")
 				}
 			}
@@ -750,7 +568,7 @@ func BenchmarkObservatory(b *testing.B) {
 // request runs its aggregation), and the streaming-export mix (JSONL
 // windows through the pooled 64 KiB buffers). Each loadgen run issues a
 // fixed request count, so allocs/op divided by req/op is allocs per
-// request — scripts/bench_scan.sh gates the cached number.
+// request — TestGateServeCachedAllocs gates the cached number.
 
 const serveBenchRequests = 512
 
@@ -764,9 +582,9 @@ var (
 
 // serveBench builds the two servers over the shared warm study and
 // derives the request mixes from what the worldwide set contains.
-func serveBench(b *testing.B) {
-	b.Helper()
-	s := study(b)
+func serveBench(tb testing.TB) {
+	tb.Helper()
+	s := study(tb)
 	serveBenchOnce.Do(func() {
 		set := s.Worldwide(context.Background())
 		serveBenchCached = serve.New(s.Registry(), serve.Config{})
@@ -792,20 +610,25 @@ func serveBench(b *testing.B) {
 	})
 }
 
-// benchServe drives one mix at one client count and reports the loadgen
-// latency percentiles alongside the standard counters.
-func benchServe(b *testing.B, srv *serve.Server, mix []string, clients, requests int) {
-	var last loadgen.Result
-	// Warm outside the timed region: fill the cache (a no-op for the
-	// uncached server) and fault in the lazy host index — every path
-	// exactly once, not a random draw that could leave entries cold.
+// warmServe fills the cache (a no-op for the uncached server) and faults
+// in the lazy host index — every path exactly once, not a random draw
+// that could leave entries cold.
+func warmServe(tb testing.TB, srv *serve.Server, mix []string) {
+	tb.Helper()
 	for _, path := range mix {
 		rec := httptest.NewRecorder()
 		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
 		if rec.Code != http.StatusOK {
-			b.Fatalf("warmup %s: status %d", path, rec.Code)
+			tb.Fatalf("warmup %s: status %d", path, rec.Code)
 		}
 	}
+}
+
+// benchServe drives one mix at one client count and reports the loadgen
+// latency percentiles alongside the standard counters.
+func benchServe(b *testing.B, srv *serve.Server, mix []string, clients, requests int) {
+	var last loadgen.Result
+	warmServe(b, srv, mix) // outside the timed region
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -825,8 +648,8 @@ func benchServe(b *testing.B, srv *serve.Server, mix []string, clients, requests
 }
 
 // BenchmarkServeQuery is the cached steady state: after the first lap
-// every aggregate is a shard-local LRU hit. Its allocs-per-request is
-// gated in scripts/bench_scan.sh.
+// every aggregate is a shard-local LRU hit. TestGateServeCachedAllocs
+// gates its allocs per request at clients=1.
 func BenchmarkServeQuery(b *testing.B) {
 	serveBench(b)
 	for _, clients := range []int{1, 4, 16} {

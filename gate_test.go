@@ -1,0 +1,133 @@
+package repro_test
+
+// Performance gates: the three properties the design depends on, checked
+// as plain tests over the shared benchmark study (bench_test.go) at
+// benchScale(). govbench measures end to end; these only fail the build
+// when a hot path regresses past its recorded bound. All three skip
+// under -race, whose detector drops sync.Pool items and instruments
+// every access, so neither allocation counts nor timings mean anything
+// there.
+
+import (
+	"context"
+	"io"
+	"runtime"
+	"slices"
+	"testing"
+	"time"
+
+	"repro/internal/resultset"
+	"repro/internal/scanner"
+	"repro/internal/serve/loadgen"
+)
+
+const (
+	// jsonExportAllocsBudget is the allocs per worldwide export of the
+	// reflection-based exporter before the zero-copy rewrite: the
+	// exporter must not regress back toward reflection encoding.
+	jsonExportAllocsBudget = 18658
+	// serveCachedAllocsBudget is the allocations allowed per cached
+	// serve request at clients=1 (about 8.0 when the gate was set): the
+	// margin is for noise, not for a reflection- or map-allocating
+	// regression on the hit path.
+	serveCachedAllocsBudget = 10.0
+	// ApplyDelta with applyDeltaK dirty hosts must beat the full rebuild
+	// by applyDeltaMinSpeedup: that margin is the reason
+	// dataset.Registry.patch reroutes through the delta at all.
+	applyDeltaK          = 100
+	applyDeltaMinSpeedup = 5.0
+	applyDeltaRuns       = 7
+)
+
+func skipUnderRace(t *testing.T) {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool items and inflates allocations and timings")
+	}
+}
+
+// TestGateJSONExportAllocs bounds the allocations of one zgrab-style
+// JSONL export of the worldwide set.
+func TestGateJSONExportAllocs(t *testing.T) {
+	skipUnderRace(t)
+	results := study(t).Worldwide(context.Background()).Results()
+	var err error
+	allocs := testing.AllocsPerRun(5, func() {
+		if e := scanner.WriteJSONL(io.Discard, results); e != nil {
+			err = e
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("JSONExport: %.0f allocs/op over %d hosts (budget %d)", allocs, len(results), jsonExportAllocsBudget)
+	if allocs > jsonExportAllocsBudget {
+		t.Errorf("JSONExport allocs/op regressed: %.0f > budget %d", allocs, jsonExportAllocsBudget)
+	}
+}
+
+// TestGateServeCachedAllocs bounds the allocations per request of the
+// cached query mix at one client, the steady state the read-through
+// cache exists for.
+func TestGateServeCachedAllocs(t *testing.T) {
+	skipUnderRace(t)
+	serveBench(t)
+	warmServe(t, serveBenchCached, serveBenchQueryMix)
+	errs := 0
+	allocs := testing.AllocsPerRun(5, func() {
+		errs += loadgen.Run(loadgen.Config{
+			Handler: serveBenchCached.Handler(), Clients: 1, Requests: serveBenchRequests,
+			Seed: 42, Paths: serveBenchQueryMix,
+		}).Errors
+	})
+	if errs != 0 {
+		t.Fatalf("load runs saw %d non-2xx responses", errs)
+	}
+	perReq := allocs / serveBenchRequests
+	t.Logf("cached serve: %.0f allocs / %d req = %.2f allocs/req (budget %.1f)",
+		allocs, serveBenchRequests, perReq, serveCachedAllocsBudget)
+	if perReq > serveCachedAllocsBudget {
+		t.Errorf("cached serve query allocates %.2f per request at clients=1 (budget %.1f)",
+			perReq, serveCachedAllocsBudget)
+	}
+}
+
+// TestGateApplyDelta compares the median of interleaved ApplyDelta and
+// full-rebuild runs over the same base set and applyDeltaK changed rows.
+// Each run starts from a collected heap, so neither side is billed for
+// the other's garbage.
+// Set GOVHTTPS_BENCH_SCALE=1.0 to check it on the full-study corpus.
+func TestGateApplyDelta(t *testing.T) {
+	skipUnderRace(t)
+	base, changed := benchDeltaBase(t, applyDeltaK)
+	raw := base.Results()
+	opts := resultset.Options{CountryOf: study(t).CountryOf}
+	timed := func(build func() (*resultset.Set, error)) time.Duration {
+		runtime.GC()
+		start := time.Now()
+		set, err := build()
+		d := time.Since(start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if set.Len() != base.Len() {
+			t.Fatalf("patched set has %d rows, want %d", set.Len(), base.Len())
+		}
+		return d
+	}
+	var delta, rebuild []time.Duration
+	for i := 0; i < applyDeltaRuns; i++ {
+		delta = append(delta, timed(func() (*resultset.Set, error) { return base.ApplyDelta(changed) }))
+		rebuild = append(rebuild, timed(func() (*resultset.Set, error) { return rebuildPatched(raw, changed, opts), nil }))
+	}
+	slices.Sort(delta)
+	slices.Sort(rebuild)
+	d, r := delta[applyDeltaRuns/2], rebuild[applyDeltaRuns/2]
+	speedup := float64(r) / float64(d)
+	t.Logf("%d hosts, k=%d: ApplyDelta median %v, rebuild median %v (%.1fx, need %.1fx)",
+		base.Len(), applyDeltaK, d, r, speedup, applyDeltaMinSpeedup)
+	if speedup < applyDeltaMinSpeedup {
+		t.Errorf("ApplyDelta k=%d is only %.2fx the full rebuild over %d hosts (need >= %.1fx)",
+			applyDeltaK, speedup, base.Len(), applyDeltaMinSpeedup)
+	}
+}

@@ -289,10 +289,6 @@ func (s *Study) DatasetNames() []string { return s.datasets.Names() }
 // consistent snapshot while MarkDirty/UseStore churn underneath.
 func (s *Study) Registry() *dataset.Registry { return s.datasets }
 
-// InvalidateDataset drops one dataset's cached results, forcing a full
-// rescan on next use.
-func (s *Study) InvalidateDataset(name string) bool { return s.datasets.Invalidate(name) }
-
 // MarkDatasetDirty records hosts whose cached results are stale after a
 // world mutation — the hook the remediation experiments (S722, E4) use.
 // The next Get patches the cached set, rescanning only the named hosts

@@ -27,24 +27,6 @@ func (s *Set) IssuerCells() []Cell {
 	return out
 }
 
-// ProviderCells returns per-hosting-provider validity cells over
-// available hosts, in first-seen order.
-func (s *Set) ProviderCells() []Cell {
-	names := s.provIdx.orderedKeys()
-	out := make([]Cell, len(names))
-	for i, p := range names {
-		bucket := s.provIdx.bucket(p)
-		c := Cell{Label: p, Total: len(bucket)}
-		for _, idx := range bucket {
-			if s.At(idx).ValidHTTPS() {
-				c.Valid++
-			}
-		}
-		out[i] = c
-	}
-	return out
-}
-
 // Hostnames maps result indices to their hostnames, preserving order —
 // the paging helper behind the per-country/per-issuer/per-category host
 // listings.
