@@ -408,20 +408,8 @@ func BenchmarkRenewalFleet(b *testing.B) {
 	var renewals int
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		w := world.MustBuild(world.Config{Seed: 42, Scale: benchScale() / 5})
-		cfg := scanner.DefaultConfig(w.Stores["apple"], w.ScanTime)
-		cfg.Seed = 42
-		cfg.Clock = w.Clock
-		sc := scanner.New(w.Net, w.DNS, w.Class, cfg)
-		set := resultset.New(sc.ScanAll(ctx, w.GovHosts), resultset.Options{CountryOf: w.CountryOf})
-		enrolled := acmefleet.Enroll(set)
-		hosts := make([]string, len(enrolled))
-		for k, e := range enrolled {
-			hosts[k] = e.Hostname
-		}
-		acmefleet.DefaultChaos().Apply(w, hosts, 42)
+		f := chaosFleet(b, benchScale()/5)
 		b.StartTimer()
-		f := acmefleet.New(w, set, acmefleet.Config{Seed: 42})
 		rep := f.Run(ctx)
 		renewals = rep.Final().Renewals
 		if renewals == 0 {
@@ -429,6 +417,26 @@ func BenchmarkRenewalFleet(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(renewals), "renewals/op")
+}
+
+// chaosFleet builds a private seed-42 world at the given scale, scans it,
+// injects the default chaos profile over the enrolled hosts and returns
+// the campaign ready to Run.
+func chaosFleet(tb testing.TB, scale float64) *acmefleet.Fleet {
+	tb.Helper()
+	w := world.MustBuild(world.Config{Seed: 42, Scale: scale})
+	cfg := scanner.DefaultConfig(w.Stores["apple"], w.ScanTime)
+	cfg.Seed = 42
+	cfg.Clock = w.Clock
+	sc := scanner.New(w.Net, w.DNS, w.Class, cfg)
+	set := resultset.New(sc.ScanAll(context.Background(), w.GovHosts), resultset.Options{CountryOf: w.CountryOf})
+	enrolled := acmefleet.Enroll(set)
+	hosts := make([]string, len(enrolled))
+	for k, e := range enrolled {
+		hosts[k] = e.Hostname
+	}
+	acmefleet.DefaultChaos().Apply(w, hosts, 42)
+	return acmefleet.New(w, set, acmefleet.Config{Seed: 42})
 }
 
 // --- Incremental-delta benches ---

@@ -60,11 +60,11 @@ func main() {
 				content := tokens[strings.TrimPrefix(req.Path, acme.ChallengePath)]
 				mu.Unlock()
 				if content != "" {
-					httpsim.WriteResponse(conn, 200, nil, []byte(content))
+					httpsim.WriteResponse(conn, 200, httpsim.Header{Close: true}, []byte(content))
 					return
 				}
 			}
-			httpsim.WriteResponse(conn, 404, nil, nil)
+			httpsim.WriteResponse(conn, 404, httpsim.Header{Close: true}, nil)
 		})
 	}
 	serveSite("portal.gov.br", "190.20.0.1")

@@ -1,9 +1,9 @@
 package repro_test
 
-// Performance gates: the three properties the design depends on, checked
+// Performance gates: the four properties the design depends on, checked
 // as plain tests over the shared benchmark study (bench_test.go) at
 // benchScale(). govbench measures end to end; these only fail the build
-// when a hot path regresses past its recorded bound. All three skip
+// when a hot path regresses past its recorded bound. All four skip
 // under -race, whose detector drops sync.Pool items and instruments
 // every access, so neither allocation counts nor timings mean anything
 // there.
@@ -37,6 +37,14 @@ const (
 	applyDeltaK          = 100
 	applyDeltaMinSpeedup = 5.0
 	applyDeltaRuns       = 7
+	// renewalFleetAllocsBudget bounds the allocations per order attempt
+	// of the chaos campaign at renewalFleetScale, midway between the two
+	// wire designs measured when the gate was set: a dial per ACME POST,
+	// reflection JSON, a base64 chain and per-message header maps cost
+	// 152.7; kept-alive connections, append-built codecs, the raw chain
+	// download and fixed-field headers cost 90.3.
+	renewalFleetAllocsBudget = 120
+	renewalFleetScale        = 0.01
 )
 
 func skipUnderRace(t *testing.T) {
@@ -129,5 +137,36 @@ func TestGateApplyDelta(t *testing.T) {
 	if speedup < applyDeltaMinSpeedup {
 		t.Errorf("ApplyDelta k=%d is only %.2fx the full rebuild over %d hosts (need >= %.1fx)",
 			applyDeltaK, speedup, base.Len(), applyDeltaMinSpeedup)
+	}
+}
+
+// TestGateRenewalFleetAllocs bounds the allocations per order attempt of
+// the renewal fleet: the seed-42 default-chaos campaign BenchmarkRenewalFleet
+// runs, at a fixed small scale. The best of three fresh campaigns counts,
+// so a stray background allocation cannot fail the gate.
+func TestGateRenewalFleetAllocs(t *testing.T) {
+	skipUnderRace(t)
+	best := 0.0
+	for i := 0; i < 3; i++ {
+		f := chaosFleet(t, renewalFleetScale)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rep := f.Run(context.Background())
+		runtime.ReadMemStats(&after)
+		attempts := rep.Final().Attempts
+		if attempts == 0 {
+			t.Fatal("campaign made no order attempts")
+		}
+		perAttempt := float64(after.Mallocs-before.Mallocs) / float64(attempts)
+		if i == 0 || perAttempt < best {
+			best = perAttempt
+		}
+		if i == 0 {
+			t.Logf("%d attempts, %d renewals", attempts, rep.Final().Renewals)
+		}
+	}
+	t.Logf("renewal fleet: %.1f allocs per order attempt (budget %d)", best, renewalFleetAllocsBudget)
+	if best > renewalFleetAllocsBudget {
+		t.Errorf("renewal fleet allocates %.1f per order attempt (budget %d)", best, renewalFleetAllocsBudget)
 	}
 }

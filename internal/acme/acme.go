@@ -9,10 +9,9 @@
 package acme
 
 import (
+	"bufio"
 	"context"
-	"encoding/base64"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -237,17 +236,21 @@ type FinalizeRequest struct {
 	OrderID string `json:"order_id"`
 }
 
-// FinalizeResponse carries the issued chain.
-type FinalizeResponse struct {
-	// Chain is the base64 of cert.EncodeChain (leaf first).
-	Chain string `json:"chain"`
-	// Error is the problem description on failure.
+// Problem is the JSON document a refused API request gets in place of its
+// result. A successful finalize returns no JSON at all: the body is the
+// raw cert.EncodeChain bytes, typed ChainContentType (RFC 8555 §7.4.2
+// makes the certificate a download, not a field).
+type Problem struct {
+	// Error is the human-readable problem description.
 	Error string `json:"error,omitempty"`
-	// Code is the machine-readable problem code on failure.
+	// Code is the machine-readable problem code.
 	Code string `json:"code,omitempty"`
 	// RetryAfter is the RFC 3339 retry hint on rate-limit refusals.
 	RetryAfter string `json:"retry_after,omitempty"`
 }
+
+// ChainContentType types a finalize response carrying the issued chain.
+const ChainContentType = "application/vnd.govhttps.cert-chain"
 
 // RegisteredDomain approximates the eTLD+1 grouping CAs rate-limit on:
 // the last two labels, or the last three when the name sits under a
@@ -546,29 +549,46 @@ func (s *Server) validateHTTP01(ctx context.Context, hostname, token string) err
 	return nil
 }
 
-// Handle serves the ACME HTTP API over one connection: POST /acme/new-order
-// and POST /acme/finalize with JSON bodies.
+// Handle serves the ACME HTTP API — POST /acme/new-order and POST
+// /acme/finalize with JSON bodies — on one kept-alive connection: it
+// answers requests in turn until the peer closes the connection, a read
+// fails, or a request carries Connection: close.
 func (s *Server) Handle(conn net.Conn) {
 	defer conn.Close()
-	req, err := httpsim.ReadRequestConn(conn)
-	if err != nil {
-		return
+	br := bufio.NewReader(conn)
+	var buf []byte
+	for {
+		req, err := httpsim.ReadRequest(br)
+		if err != nil {
+			return
+		}
+		status, hdr, body := s.serve(req, buf[:0])
+		buf = body
+		hdr.Close = req.Close
+		if httpsim.WriteResponse(conn, status, hdr, body) != nil || req.Close {
+			return
+		}
 	}
-	writeProblem := func(status int, err error) {
-		p := FinalizeResponse{Error: err.Error(), Code: problemCode(err)}
+}
+
+// jsonHdr types the API's JSON answers.
+var jsonHdr = httpsim.Header{ContentType: "application/json"}
+
+// serve answers one API request, appending the body to b.
+func (s *Server) serve(req *httpsim.Request, b []byte) (int, httpsim.Header, []byte) {
+	problem := func(status int, err error) (int, httpsim.Header, []byte) {
+		p := Problem{Error: err.Error(), Code: problemCode(err)}
 		var rl *RateLimitError
 		if errors.As(err, &rl) {
 			p.RetryAfter = rl.RetryAfter.Format(time.RFC3339Nano)
 		}
-		body, _ := json.Marshal(p)
-		httpsim.WriteResponse(conn, status, jsonHdr, body)
+		return status, jsonHdr, appendProblem(b, &p)
 	}
 	switch {
 	case req.Method == "POST" && req.Path == "/acme/new-order":
-		var or OrderRequest
-		if err := json.Unmarshal(req.Body, &or); err != nil {
-			writeProblem(400, err)
-			return
+		or, err := decodeOrderRequest(req.Body)
+		if err != nil {
+			return problem(400, err)
 		}
 		resp, err := s.NewOrder(or)
 		if err != nil {
@@ -576,16 +596,13 @@ func (s *Server) Handle(conn net.Conn) {
 			if errors.Is(err, ErrRateLimited) {
 				status = 429
 			}
-			writeProblem(status, err)
-			return
+			return problem(status, err)
 		}
-		body, _ := json.Marshal(resp)
-		httpsim.WriteResponse(conn, 200, jsonHdr, body)
+		return 200, jsonHdr, appendOrderResponse(b, &resp)
 	case req.Method == "POST" && req.Path == "/acme/finalize":
-		var fr FinalizeRequest
-		if err := json.Unmarshal(req.Body, &fr); err != nil {
-			writeProblem(400, err)
-			return
+		fr, err := decodeFinalizeRequest(req.Body)
+		if err != nil {
+			return problem(400, err)
 		}
 		chain, err := s.Finalize(context.Background(), fr.OrderID)
 		if err != nil {
@@ -593,19 +610,12 @@ func (s *Server) Handle(conn net.Conn) {
 			if errors.Is(err, ErrUnknownOrder) {
 				status = 404
 			}
-			writeProblem(status, err)
-			return
+			return problem(status, err)
 		}
-		body, _ := json.Marshal(FinalizeResponse{
-			Chain: base64.StdEncoding.EncodeToString(cert.EncodeChain(chain)),
-		})
-		httpsim.WriteResponse(conn, 200, jsonHdr, body)
-	default:
-		httpsim.WriteResponse(conn, 404, nil, []byte("not found"))
+		return 200, httpsim.Header{ContentType: ChainContentType}, cert.EncodeChain(chain)
 	}
+	return 404, httpsim.Header{}, append(b, "not found"...)
 }
-
-var jsonHdr = map[string]string{"Content-Type": "application/json"}
 
 func parseKey(req OrderRequest) (cert.PublicKey, error) {
 	var id cert.KeyID

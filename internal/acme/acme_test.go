@@ -82,13 +82,13 @@ func (h *harness) addSite(t *testing.T, hostname, ip string) {
 			content, ok := h.tokens[req.Host][token]
 			h.mu.Unlock()
 			if ok {
-				httpsim.WriteResponse(conn, 200, nil, []byte(content))
+				httpsim.WriteResponse(conn, 200, httpsim.Header{Close: true}, []byte(content))
 				return
 			}
-			httpsim.WriteResponse(conn, 404, nil, nil)
+			httpsim.WriteResponse(conn, 404, httpsim.Header{Close: true}, nil)
 			return
 		}
-		httpsim.WriteResponse(conn, 200, nil, []byte("hello"))
+		httpsim.WriteResponse(conn, 200, httpsim.Header{Close: true}, []byte("hello"))
 	})
 }
 
@@ -233,7 +233,7 @@ func TestHTTPAPIRejectsGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	resp, err := httpsim.Post(conn, "acme", "/acme/new-order", "application/json", []byte("{not json"))
+	resp, err := httpsim.Post(conn, bufio.NewReader(conn), "acme", "/acme/new-order", "application/json", []byte("{not json"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,13 @@
 package acme
 
 import (
+	"bufio"
 	"context"
-	"encoding/base64"
-	"encoding/json"
 	"fmt"
+	"net"
 	"net/netip"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/cert"
@@ -14,7 +15,11 @@ import (
 )
 
 // Client drives the certbot side of the flow: order, provision the http-01
-// tokens on the web server, finalize, parse the chain.
+// tokens on the web server, finalize, parse the chain. API requests travel
+// on kept-alive connections: a call takes an idle one or dials, and hands
+// it back after a clean exchange, so the client holds at most one idle
+// connection per caller that ran concurrently. A Client must not be copied
+// after first use.
 type Client struct {
 	// Server is the ACME API endpoint.
 	Server netip.AddrPort
@@ -29,6 +34,16 @@ type Client struct {
 	// installing content on the host's web server. It must return once the
 	// token is servable.
 	Provision func(hostname, token string) error
+
+	mu   sync.Mutex
+	idle []*apiConn
+}
+
+// apiConn is one kept-alive API connection with the reader that owns its
+// inbound bytes.
+type apiConn struct {
+	conn net.Conn
+	br   *bufio.Reader
 }
 
 // Obtain runs the complete issuance flow for the hostnames using the key.
@@ -62,50 +77,95 @@ func (c *Client) newOrder(ctx context.Context, hostnames []string, key cert.Publ
 		KeyBits:   key.Bits,
 		KeyID:     key.ID.String(),
 	}
-	var resp OrderResponse
-	if err := c.post(ctx, "/acme/new-order", req, &resp); err != nil {
+	resp, err := c.post(ctx, "/acme/new-order", appendOrderRequest(nil, &req))
+	if err != nil {
 		return OrderResponse{}, err
+	}
+	return decodeOrderResponse(resp.Body)
+}
+
+func (c *Client) finalize(ctx context.Context, orderID string) ([]*cert.Certificate, error) {
+	resp, err := c.post(ctx, "/acme/finalize", appendFinalizeRequest(nil, &FinalizeRequest{OrderID: orderID}))
+	if err != nil {
+		return nil, err
+	}
+	if resp.ContentType != ChainContentType {
+		return nil, fmt.Errorf("acme: /acme/finalize: chain download typed %q", resp.ContentType)
+	}
+	// The parsed chain keeps slices of the bytes it is parsed from:
+	// resp.Body is a fresh allocation per response, never a reused
+	// connection buffer.
+	return cert.ParseChain(resp.Body)
+}
+
+// post sends one API request on a kept-alive connection and returns a
+// 200 response; any other status comes back as the typed problem error. A
+// transport error or a Connection: close answer discards the connection;
+// otherwise it goes back to the idle set for the next call.
+func (c *Client) post(ctx context.Context, path string, body []byte) (*httpsim.Response, error) {
+	ac, err := c.take(ctx)
+	if err != nil {
+		return nil, fmt.Errorf("acme: dialing CA: %w", err)
+	}
+	resp, err := httpsim.Post(ac.conn, ac.br, c.ServerName, path, "application/json", body)
+	if err != nil {
+		ac.conn.Close()
+		return nil, fmt.Errorf("acme: %s: %w", path, err)
+	}
+	if resp.Close || ac.br.Buffered() > 0 {
+		// Announced close, or bytes past the response: the stream is no
+		// longer known to be in step with the server.
+		ac.conn.Close()
+	} else {
+		c.mu.Lock()
+		c.idle = append(c.idle, ac)
+		c.mu.Unlock()
+	}
+	if resp.StatusCode != 200 {
+		return nil, problemFromResponse(path, resp.StatusCode, resp.Body)
 	}
 	return resp, nil
 }
 
-func (c *Client) finalize(ctx context.Context, orderID string) ([]*cert.Certificate, error) {
-	var resp FinalizeResponse
-	if err := c.post(ctx, "/acme/finalize", FinalizeRequest{OrderID: orderID}, &resp); err != nil {
+// take returns an idle API connection, or dials a new one. A cancelled
+// ctx fails the call either way, as the dial would.
+func (c *Client) take(ctx context.Context) (*apiConn, error) {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	raw, err := base64.StdEncoding.DecodeString(resp.Chain)
-	if err != nil {
-		return nil, fmt.Errorf("acme: decoding chain: %w", err)
+	c.mu.Lock()
+	if n := len(c.idle); n > 0 {
+		ac := c.idle[n-1]
+		c.idle[n-1] = nil
+		c.idle = c.idle[:n-1]
+		c.mu.Unlock()
+		return ac, nil
 	}
-	return cert.ParseChain(raw)
-}
-
-func (c *Client) post(ctx context.Context, path string, in, out any) error {
+	c.mu.Unlock()
 	conn, err := c.Net.Dial(ctx, c.Vantage, c.Server)
 	if err != nil {
-		return fmt.Errorf("acme: dialing CA: %w", err)
+		return nil, err
 	}
-	defer conn.Close()
-	body, err := json.Marshal(in)
-	if err != nil {
-		return err
+	return &apiConn{conn: conn, br: bufio.NewReader(conn)}, nil
+}
+
+// CloseIdle closes every idle API connection; the server's handler for
+// each sees the close and returns. Connections in use are unaffected.
+func (c *Client) CloseIdle() {
+	c.mu.Lock()
+	idle := c.idle
+	c.idle = nil
+	c.mu.Unlock()
+	for _, ac := range idle {
+		ac.conn.Close()
 	}
-	resp, err := httpsim.Post(conn, c.ServerName, path, "application/json", body)
-	if err != nil {
-		return fmt.Errorf("acme: %s: %w", path, err)
-	}
-	if resp.StatusCode != 200 {
-		return problemFromResponse(path, resp.StatusCode, resp.Body)
-	}
-	return json.Unmarshal(resp.Body, out)
 }
 
 // problemFromResponse rebuilds a typed error from a problem document, so
 // server-side refusals keep their errors.Is identity across the wire.
 func problemFromResponse(path string, status int, body []byte) error {
-	var problem FinalizeResponse
-	if json.Unmarshal(body, &problem) != nil || (problem.Error == "" && problem.Code == "") {
+	problem, err := decodeProblem(body)
+	if err != nil || (problem.Error == "" && problem.Code == "") {
 		return fmt.Errorf("acme: %s: status %d", path, status)
 	}
 	if problem.Code == "rateLimited" {

@@ -385,8 +385,10 @@ func hostKey(seed int64, hostname string) cert.PublicKey {
 
 // Run executes the campaign: one scheduler pass per tick until the
 // horizon. Returns the campaign report. Respects ctx cancellation at
-// tick boundaries.
+// tick boundaries. The client's kept-alive API connections are closed
+// before Run returns.
 func (f *Fleet) Run(ctx context.Context) *Report {
+	defer f.Client.CloseIdle()
 	rep := &Report{Enrolled: len(f.hosts)}
 	ticks := int(f.Cfg.Horizon / f.Cfg.Tick)
 	for i := 0; i <= ticks && ctx.Err() == nil; i++ {

@@ -13,9 +13,7 @@ import (
 	"io"
 	"net"
 	"strconv"
-	"strings"
 	"sync"
-	"unicode/utf8"
 )
 
 // Protocol limits.
@@ -32,38 +30,64 @@ var (
 	ErrBodyTooLarge      = errors.New("httpsim: body exceeds limit")
 )
 
-// Request is a parsed HTTP request.
+// Request is a parsed HTTP request. The dialect keeps a fixed set of
+// header fields; every other header line is validated and dropped.
 type Request struct {
 	Method string
 	Path   string
 	Host   string
-	Header map[string]string
-	Body   []byte
+	// ContentType is the Content-Type header ("" when absent).
+	ContentType string
+	// Close reports a Connection: close header: the client closes the
+	// connection after this exchange.
+	Close bool
+	Body  []byte
 }
 
-// Response is a parsed HTTP response.
+// Response is a parsed HTTP response. Like Request, it keeps a fixed
+// set of header fields.
 type Response struct {
 	StatusCode int
-	Header     map[string]string
-	Body       []byte
+	// ContentType is the Content-Type header ("" when absent).
+	ContentType string
+	// Close reports a Connection: close header: the server closes the
+	// connection after this response.
+	Close bool
+	Body  []byte
+
+	location string
+	hsts     bool
 }
 
 // HSTS reports whether the response carries a Strict-Transport-Security
 // header (§8.2's HSTS preload recommendation).
-func (r *Response) HSTS() bool {
-	_, ok := r.Header["strict-transport-security"]
-	return ok
-}
+func (r *Response) HSTS() bool { return r.hsts }
 
 // Location returns the redirect target, if any.
-func (r *Response) Location() string { return r.Header["location"] }
+func (r *Response) Location() string { return r.location }
 
 // IsRedirect reports whether the status code denotes a redirect.
 func (r *Response) IsRedirect() bool {
 	return r.StatusCode == 301 || r.StatusCode == 302 || r.StatusCode == 307 || r.StatusCode == 308
 }
 
-// bufPool recycles the serialization buffers WriteRequestBody and
+// Header is the set of response header fields WriteResponse can send;
+// the zero value sends none beyond Content-Length.
+type Header struct {
+	ContentType string
+	Location    string
+	// HSTS sends Strict-Transport-Security with the one-year,
+	// preload-eligible policy every simulated https site uses.
+	HSTS bool
+	// Close sends Connection: close. A server sets it only when it closes
+	// the connection after this response.
+	Close bool
+}
+
+// hstsPolicy is the Strict-Transport-Security value Header.HSTS sends.
+const hstsPolicy = "max-age=31536000; includeSubDomains; preload"
+
+// bufPool recycles the serialization buffers Request.Write and
 // WriteResponse build wire bytes in: the buffer is fully written to the
 // connection before the call returns, so it holds no live state.
 var bufPool = sync.Pool{
@@ -73,32 +97,40 @@ var bufPool = sync.Pool{
 	},
 }
 
-// WriteRequest sends a body-less request over the connection.
+// WriteRequest sends a body-less request on a connection the client
+// closes afterwards (Connection: close).
 func WriteRequest(w io.Writer, method, host, path string) error {
-	return WriteRequestBody(w, method, host, path, "", nil)
+	r := Request{Method: method, Host: host, Path: path, Close: true}
+	return r.Write(w)
 }
 
-// WriteRequestBody sends a request carrying a body (POST-style).
-func WriteRequestBody(w io.Writer, method, host, path, contentType string, body []byte) error {
+// Write sends the request. An empty Path sends "/"; Connection: close
+// goes out only when r.Close is set, Content-Type only when r.ContentType
+// is, and Content-Length only with a body.
+func (r *Request) Write(w io.Writer) error {
+	path := r.Path
 	if path == "" {
 		path = "/"
 	}
 	bp := bufPool.Get().(*[]byte)
 	b := (*bp)[:0]
-	b = append(b, method...)
+	b = append(b, r.Method...)
 	b = append(b, ' ')
 	b = append(b, path...)
 	b = append(b, " HTTP/1.1\r\nHost: "...)
-	b = append(b, host...)
-	b = append(b, "\r\nUser-Agent: govhttps-scanner/1.0\r\nConnection: close\r\n"...)
-	if contentType != "" {
+	b = append(b, r.Host...)
+	b = append(b, "\r\nUser-Agent: govhttps-scanner/1.0\r\n"...)
+	if r.Close {
+		b = append(b, "Connection: close\r\n"...)
+	}
+	if r.ContentType != "" {
 		b = append(b, "Content-Type: "...)
-		b = append(b, contentType...)
+		b = append(b, r.ContentType...)
 		b = append(b, "\r\n"...)
 	}
-	if len(body) > 0 {
+	if len(r.Body) > 0 {
 		b = append(b, "Content-Length: "...)
-		b = strconv.AppendInt(b, int64(len(body)), 10)
+		b = strconv.AppendInt(b, int64(len(r.Body)), 10)
 		b = append(b, "\r\n"...)
 	}
 	b = append(b, "\r\n"...)
@@ -108,8 +140,8 @@ func WriteRequestBody(w io.Writer, method, host, path, contentType string, body 
 	if err != nil {
 		return err
 	}
-	if len(body) > 0 {
-		if _, err := w.Write(body); err != nil {
+	if len(r.Body) > 0 {
+		if _, err := w.Write(r.Body); err != nil {
 			return err
 		}
 	}
@@ -137,22 +169,21 @@ func ReadRequest(br *bufio.Reader) (*Request, error) {
 	req := &Request{
 		Method: internToken(line[:i1]),
 		Path:   string(line[i1+1 : i1+1+i2]),
-		Header: make(map[string]string, 4),
 	}
-	if err := readHeaders(br, req.Header); err != nil {
+	var f fields
+	if err := readHeaders(br, &f); err != nil {
 		return nil, err
 	}
-	req.Host = req.Header["host"]
-	if cl, ok := req.Header["content-length"]; ok {
-		n, err := strconv.Atoi(cl)
-		if err != nil || n < 0 {
+	req.Host, req.ContentType, req.Close = f.host, f.contentType, f.close
+	if f.hasLength {
+		if f.lengthBad {
 			//lint:allow hotalloc cold malformed-input branch: formats only when returning a protocol error
-			return nil, fmt.Errorf("%w: bad content-length %q", ErrMalformedRequest, cl)
+			return nil, fmt.Errorf("%w: bad content-length %q", ErrMalformedRequest, f.lengthRaw)
 		}
-		if n > maxBodyLen {
+		if f.length > maxBodyLen {
 			return nil, ErrBodyTooLarge
 		}
-		req.Body = make([]byte, n)
+		req.Body = make([]byte, f.length)
 		if _, err := io.ReadFull(br, req.Body); err != nil {
 			return nil, err
 		}
@@ -160,9 +191,9 @@ func ReadRequest(br *bufio.Reader) (*Request, error) {
 	return req, nil
 }
 
-// brPool recycles the response readers Get/Post allocate: responses are
-// fully consumed by ReadResponse, so the reader holds no live state when
-// the call returns.
+// brPool recycles the readers one-shot exchanges (Get, ReadRequestConn)
+// parse with: a one-shot message is fully consumed before the call
+// returns, so the reader holds no live state when it goes back.
 var brPool = sync.Pool{
 	New: func() any { return bufio.NewReaderSize(nil, 4096) },
 }
@@ -176,9 +207,9 @@ func readPooled(conn net.Conn) (*Response, error) {
 	return resp, err
 }
 
-// ReadRequestConn parses one request from conn using a pooled reader. The
-// request is fully consumed before the call returns, so the reader carries
-// no state back into the pool.
+// ReadRequestConn parses the one request of a one-shot connection using a
+// pooled reader. A kept-alive connection needs a reader of its own for
+// its whole life instead (see Post).
 func ReadRequestConn(conn net.Conn) (*Request, error) {
 	br := brPool.Get().(*bufio.Reader)
 	br.Reset(conn)
@@ -188,18 +219,20 @@ func ReadRequestConn(conn net.Conn) (*Request, error) {
 	return req, err
 }
 
-// Post performs one POST over an established connection and parses the
-// response.
-func Post(conn net.Conn, host, path, contentType string, body []byte) (*Response, error) {
-	if err := WriteRequestBody(conn, "POST", host, path, contentType, body); err != nil {
+// Post performs one POST on a kept-alive connection: the request does not
+// claim Connection: close, and the response is parsed from br, the reader
+// that owns the connection's inbound bytes across exchanges.
+func Post(conn net.Conn, br *bufio.Reader, host, path, contentType string, body []byte) (*Response, error) {
+	r := Request{Method: "POST", Host: host, Path: path, ContentType: contentType, Body: body}
+	if err := r.Write(conn); err != nil {
 		return nil, err
 	}
-	return readPooled(conn)
+	return ReadResponse(br)
 }
 
-// WriteResponse sends a response with the given status, headers and body.
-// Content-Length and Connection are managed automatically.
-func WriteResponse(w io.Writer, status int, header map[string]string, body []byte) error {
+// WriteResponse sends a response with the given status, header fields and
+// body. Content-Length is always sent.
+func WriteResponse(w io.Writer, status int, h Header, body []byte) error {
 	bp := bufPool.Get().(*[]byte)
 	b := (*bp)[:0]
 	b = append(b, "HTTP/1.1 "...)
@@ -207,15 +240,26 @@ func WriteResponse(w io.Writer, status int, header map[string]string, body []byt
 	b = append(b, ' ')
 	b = append(b, StatusText(status)...)
 	b = append(b, "\r\n"...)
-	for k, v := range header {
-		b = append(b, k...)
-		b = append(b, ": "...)
-		b = append(b, v...)
+	if h.ContentType != "" {
+		b = append(b, "Content-Type: "...)
+		b = append(b, h.ContentType...)
 		b = append(b, "\r\n"...)
+	}
+	if h.Location != "" {
+		b = append(b, "Location: "...)
+		b = append(b, h.Location...)
+		b = append(b, "\r\n"...)
+	}
+	if h.HSTS {
+		b = append(b, "Strict-Transport-Security: "+hstsPolicy+"\r\n"...)
 	}
 	b = append(b, "Content-Length: "...)
 	b = strconv.AppendInt(b, int64(len(body)), 10)
-	b = append(b, "\r\nConnection: close\r\n\r\n"...)
+	b = append(b, "\r\n"...)
+	if h.Close {
+		b = append(b, "Connection: close\r\n"...)
+	}
+	b = append(b, "\r\n"...)
 	_, err := w.Write(b)
 	*bp = b
 	bufPool.Put(bp)
@@ -246,20 +290,27 @@ func ReadResponse(br *bufio.Reader) (*Response, error) {
 		//lint:allow hotalloc cold malformed-input branch: formats only when returning a protocol error
 		return nil, fmt.Errorf("%w: bad status code %q", ErrMalformedResponse, sb)
 	}
-	resp := &Response{StatusCode: status, Header: make(map[string]string, 4)}
-	if err := readHeaders(br, resp.Header); err != nil {
+	var f fields
+	if err := readHeaders(br, &f); err != nil {
 		return nil, err
 	}
+	resp := &Response{
+		StatusCode:  status,
+		ContentType: f.contentType,
+		Close:       f.close,
+		location:    f.location,
+		hsts:        f.hsts,
+	}
 	n := 0
-	if cl, ok := resp.Header["content-length"]; ok {
-		n, err = strconv.Atoi(cl)
-		if err != nil || n < 0 {
+	if f.hasLength {
+		if f.lengthBad {
 			//lint:allow hotalloc cold malformed-input branch: formats only when returning a protocol error
-			return nil, fmt.Errorf("%w: bad content-length %q", ErrMalformedResponse, cl)
+			return nil, fmt.Errorf("%w: bad content-length %q", ErrMalformedResponse, f.lengthRaw)
 		}
-		if n > maxBodyLen {
+		if f.length > maxBodyLen {
 			return nil, ErrBodyTooLarge
 		}
+		n = f.length
 	}
 	resp.Body = make([]byte, n)
 	if _, err := io.ReadFull(br, resp.Body); err != nil {
@@ -297,7 +348,22 @@ func readLine(br *bufio.Reader) ([]byte, error) {
 	return line, nil
 }
 
-func readHeaders(br *bufio.Reader, into map[string]string) error {
+// fields is the fixed header set both parsers keep. A repeated header
+// keeps its last value, Content-Length included: a malformed length is
+// an error only if no later Content-Length line replaces it.
+type fields struct {
+	host, contentType, location string
+	hsts, close                 bool
+
+	hasLength bool
+	length    int
+	lengthBad bool   // the last Content-Length was not a non-negative integer
+	lengthRaw string // that value, kept for the error
+}
+
+// readHeaders reads the header block up to its blank line, bounded by
+// maxHeaderLines, recording the fixed fields into f.
+func readHeaders(br *bufio.Reader, f *fields) error {
 	for i := 0; i < maxHeaderLines; i++ {
 		line, err := readLine(br)
 		if err != nil {
@@ -311,62 +377,58 @@ func readHeaders(br *bufio.Reader, into map[string]string) error {
 			//lint:allow hotalloc cold malformed-input branch: formats only when returning a protocol error
 			return fmt.Errorf("%w: bad header line %q", ErrMalformedRequest, line)
 		}
-		into[headerKey(bytes.TrimSpace(line[:c]))] = internToken(bytes.TrimSpace(line[c+1:]))
+		f.set(bytes.TrimSpace(line[:c]), bytes.TrimSpace(line[c+1:]))
 	}
 	//lint:allow hotalloc cold malformed-input branch: formats only when returning a protocol error
 	return fmt.Errorf("%w: too many header lines", ErrMalformedRequest)
 }
 
-// headerKey lower-cases a header name, returning the canonical string for
-// the protocol's well-known headers without allocating.
-func headerKey(k []byte) string {
-	lower, ascii := true, true
-	for _, c := range k {
-		if c >= utf8.RuneSelf {
-			ascii = false
-			break
+// set records one header line when its name (matched ASCII
+// case-insensitively) is a fixed field, copying the value out of the
+// reader's buffer; any other header is dropped.
+func (f *fields) set(name, value []byte) {
+	switch {
+	case equalFoldASCII(name, "host"):
+		f.host = string(value)
+	case equalFoldASCII(name, "content-type"):
+		f.contentType = internToken(value)
+	case equalFoldASCII(name, "content-length"):
+		n, err := atoiBytes(value)
+		f.hasLength, f.length = true, n
+		f.lengthBad = err != nil || n < 0
+		f.lengthRaw = ""
+		if f.lengthBad {
+			f.lengthRaw = string(value)
 		}
+	case equalFoldASCII(name, "location"):
+		f.location = string(value)
+	case equalFoldASCII(name, "strict-transport-security"):
+		f.hsts = true
+	case equalFoldASCII(name, "connection"):
+		f.close = equalFoldASCII(value, "close")
+	}
+}
+
+// equalFoldASCII reports whether b equals the lower-case ASCII string s
+// under ASCII case folding. Unlike bytes.EqualFold it never folds a
+// non-ASCII rune onto an ASCII letter (U+212A KELVIN SIGN is not "k").
+func equalFoldASCII(b []byte, s string) bool {
+	if len(b) != len(s) {
+		return false
+	}
+	for i, c := range b {
 		if 'A' <= c && c <= 'Z' {
-			lower = false
+			c += 'a' - 'A'
+		}
+		if c != s[i] {
+			return false
 		}
 	}
-	if !ascii {
-		return strings.ToLower(string(k))
-	}
-	if !lower {
-		var buf [64]byte
-		if len(k) > len(buf) {
-			return strings.ToLower(string(k))
-		}
-		for i, c := range k {
-			if 'A' <= c && c <= 'Z' {
-				c += 'a' - 'A'
-			}
-			buf[i] = c
-		}
-		k = buf[:len(k)]
-	}
-	switch string(k) {
-	case "host":
-		return "host"
-	case "user-agent":
-		return "user-agent"
-	case "connection":
-		return "connection"
-	case "content-type":
-		return "content-type"
-	case "content-length":
-		return "content-length"
-	case "location":
-		return "location"
-	case "strict-transport-security":
-		return "strict-transport-security"
-	}
-	return string(k)
+	return true
 }
 
 // internToken returns canonical strings for the dialect's fixed tokens
-// (methods and the header values every simulated peer sends), avoiding a
+// (methods and the content types every simulated peer sends), avoiding a
 // per-message allocation.
 func internToken(b []byte) string {
 	switch string(b) {
@@ -374,12 +436,10 @@ func internToken(b []byte) string {
 		return "GET"
 	case "POST":
 		return "POST"
-	case "close":
-		return "close"
 	case "text/html":
 		return "text/html"
-	case "govhttps-scanner/1.0":
-		return "govhttps-scanner/1.0"
+	case "application/json":
+		return "application/json"
 	}
 	return string(b)
 }

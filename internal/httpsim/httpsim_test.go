@@ -47,7 +47,7 @@ func TestRequestDefaultPath(t *testing.T) {
 func TestResponseRoundtrip(t *testing.T) {
 	var buf bytes.Buffer
 	body := []byte("<html>hello</html>")
-	hdr := map[string]string{"Content-Type": "text/html", "Strict-Transport-Security": "max-age=31536000"}
+	hdr := Header{ContentType: "text/html", HSTS: true, Close: true}
 	if err := WriteResponse(&buf, 200, hdr, body); err != nil {
 		t.Fatal(err)
 	}
@@ -58,14 +58,14 @@ func TestResponseRoundtrip(t *testing.T) {
 	if resp.StatusCode != 200 || !bytes.Equal(resp.Body, body) {
 		t.Errorf("resp = %+v", resp)
 	}
-	if !resp.HSTS() {
-		t.Error("HSTS header lost")
+	if !resp.HSTS() || resp.ContentType != "text/html" || !resp.Close {
+		t.Errorf("header fields lost: HSTS=%v ContentType=%q Close=%v", resp.HSTS(), resp.ContentType, resp.Close)
 	}
 }
 
 func TestRedirectResponse(t *testing.T) {
 	var buf bytes.Buffer
-	WriteResponse(&buf, 301, map[string]string{"Location": "https://www.agency.gov/"}, nil)
+	WriteResponse(&buf, 301, Header{Location: "https://www.agency.gov/"}, nil)
 	resp, err := ReadResponse(bufio.NewReader(&buf))
 	if err != nil {
 		t.Fatal(err)
@@ -114,10 +114,10 @@ func TestGetOverSimnetConn(t *testing.T) {
 		defer server.Close()
 		req, err := ReadRequest(bufio.NewReader(server))
 		if err != nil || req.Host != "www.agency.gov" {
-			WriteResponse(server, 500, nil, nil)
+			WriteResponse(server, 500, Header{Close: true}, nil)
 			return
 		}
-		WriteResponse(server, 200, map[string]string{"Content-Type": "text/html"}, RenderPage("Agency", nil))
+		WriteResponse(server, 200, Header{ContentType: "text/html", Close: true}, RenderPage("Agency", nil))
 	}()
 	resp, err := Get(client, "www.agency.gov", "/")
 	if err != nil {
@@ -204,23 +204,64 @@ func TestEscapeHTMLInRenderedPage(t *testing.T) {
 	}
 }
 
+// TestPostRoundtrip runs two POSTs on one kept-alive connection: neither
+// side claims Connection: close, and each side's reader carries over
+// between exchanges.
 func TestPostRoundtrip(t *testing.T) {
 	client, server := pipePair()
 	go func() {
 		defer server.Close()
-		req, err := ReadRequest(bufio.NewReader(server))
-		if err != nil || req.Method != "POST" || string(req.Body) != `{"a":1}` {
-			WriteResponse(server, 500, nil, []byte("bad request"))
-			return
+		br := bufio.NewReader(server)
+		for {
+			req, err := ReadRequest(br)
+			if err != nil {
+				return
+			}
+			if req.Method != "POST" || req.Close || req.ContentType != "application/json" || string(req.Body) != `{"a":1}` {
+				WriteResponse(server, 500, Header{Close: true}, []byte("bad request"))
+				return
+			}
+			WriteResponse(server, 200, Header{ContentType: "application/json"}, []byte(`{"ok":true}`))
 		}
-		WriteResponse(server, 200, map[string]string{"Content-Type": "application/json"}, []byte(`{"ok":true}`))
 	}()
-	resp, err := Post(client, "api.gov", "/endpoint", "application/json", []byte(`{"a":1}`))
+	br := bufio.NewReader(client)
+	for i := 0; i < 2; i++ {
+		resp, err := Post(client, br, "api.gov", "/endpoint", "application/json", []byte(`{"a":1}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != 200 || resp.Close || resp.ContentType != "application/json" || string(resp.Body) != `{"ok":true}` {
+			t.Fatalf("exchange %d: resp = %d close=%v %q %q", i, resp.StatusCode, resp.Close, resp.ContentType, resp.Body)
+		}
+	}
+	client.Close()
+}
+
+// TestHeaderFieldsFixedSet: header names match ASCII case-insensitively,
+// a repeated header keeps its last value (Content-Length included), and
+// headers outside the fixed set are dropped.
+func TestHeaderFieldsFixedSet(t *testing.T) {
+	raw := "HTTP/1.1 301 Moved\r\nlocation: https://a.gov/\r\nLOCATION: https://b.gov/\r\n" +
+		"X-Unread: 1\r\nstrict-transport-SECURITY:\r\nConnection: Close\r\n" +
+		"Content-Length: x\r\nContent-Length: 2\r\n\r\nok"
+	resp, err := ReadResponse(bufio.NewReader(strings.NewReader(raw)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.StatusCode != 200 || string(resp.Body) != `{"ok":true}` {
-		t.Errorf("resp = %d %q", resp.StatusCode, resp.Body)
+	if resp.Location() != "https://b.gov/" || !resp.HSTS() || !resp.Close || string(resp.Body) != "ok" {
+		t.Errorf("resp = %+v, Location %q, HSTS %v", resp, resp.Location(), resp.HSTS())
+	}
+	raw = "GET / HTTP/1.1\r\nHOST: x.gov\r\nHoſt: y.gov\r\nconnection: keep-alive\r\n\r\n"
+	req, err := ReadRequest(bufio.NewReader(strings.NewReader(raw)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if req.Host != "x.gov" || req.Close {
+		t.Errorf("req = %+v (a non-ASCII name must not fold onto Host)", req)
+	}
+	raw = "HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: -1\r\n\r\nok"
+	if _, err := ReadResponse(bufio.NewReader(strings.NewReader(raw))); err == nil {
+		t.Error("a malformed last Content-Length was accepted")
 	}
 }
 

@@ -52,8 +52,9 @@ var LongRunningPackages = []string{
 
 // HotPathFuncs is the declared zero-alloc hot set hotalloc enforces: the
 // simulated connection substrate (simnet pipe buffers, the tlssim record
-// reader and application-data reads), the httpsim wire codecs, the
-// scanner probe loop and zero-copy JSON exporter, the cert
+// reader and application-data reads), the httpsim wire codecs, the ACME
+// API's append-built JSON encoders and strict decoder, the scanner probe
+// loop and zero-copy JSON exporter, the cert
 // fingerprint/base64 encoders, and the result-set build with its lazily
 // built fingerprint/key-ID families. Additions here are a reviewed
 // contract — a function joins the hot set when a bench gate depends on
@@ -65,12 +66,17 @@ var HotPathFuncs = []string{
 	"repro/internal/tlssim.Conn.Read",
 	"repro/internal/httpsim.Read*",
 	"repro/internal/httpsim.Write*",
+	"repro/internal/httpsim.Request.Write",
 	"repro/internal/httpsim.readPooled",
 	"repro/internal/httpsim.readLine",
 	"repro/internal/httpsim.readHeaders",
-	"repro/internal/httpsim.headerKey",
+	"repro/internal/httpsim.fields.set",
+	"repro/internal/httpsim.equalFoldASCII",
 	"repro/internal/httpsim.internToken",
 	"repro/internal/httpsim.atoiBytes",
+	"repro/internal/acme.append*",
+	"repro/internal/acme.decode*",
+	"repro/internal/acme.jsonDecoder.*",
 	"repro/internal/scanner.Scanner.probeHTTP",
 	"repro/internal/scanner.Scanner.probeHTTPS",
 	"repro/internal/scanner.Append*",

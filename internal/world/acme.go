@@ -104,10 +104,10 @@ func (w *World) challengeOnlyHandler(s *Site) simnet.Handler {
 			return
 		}
 		if body, ok := w.challengeAnswer(site.Hostname, req.Path); ok {
-			httpsim.WriteResponse(conn, 200, nil, []byte(body))
+			httpsim.WriteResponse(conn, 200, httpsim.Header{Close: true}, []byte(body))
 			return
 		}
-		httpsim.WriteResponse(conn, 404, nil, nil)
+		httpsim.WriteResponse(conn, 404, httpsim.Header{Close: true}, nil)
 	}
 }
 

@@ -43,7 +43,7 @@ func (w *World) serveSite(s *Site) {
 				return
 			}
 			if body, ok := w.challengeAnswer(site.Hostname, req.Path); ok {
-				httpsim.WriteResponse(conn, 200, nil, []byte(body))
+				httpsim.WriteResponse(conn, 200, httpsim.Header{Close: true}, []byte(body))
 				return
 			}
 			conn.Write(resp503)
@@ -103,7 +103,7 @@ func (w *World) httpHandler(s *Site, redirect bool) simnet.Handler {
 			return
 		}
 		if body, ok := w.challengeAnswer(site.Hostname, req.Path); ok {
-			httpsim.WriteResponse(conn, 200, nil, []byte(body))
+			httpsim.WriteResponse(conn, 200, httpsim.Header{Close: true}, []byte(body))
 			return
 		}
 		if redirect {
@@ -146,20 +146,19 @@ func (s *Site) render() {
 
 		var b bytes.Buffer
 		b.Grow(len(body) + 256)
-		hdr := map[string]string{"Content-Type": "text/html"}
+		hdr := httpsim.Header{ContentType: "text/html", Close: true}
 		httpsim.WriteResponse(&b, 200, hdr, body)
 		s.respHTTP = append([]byte(nil), b.Bytes()...)
 
-		if s.HSTS {
-			hdr["Strict-Transport-Security"] = "max-age=31536000; includeSubDomains; preload"
-		}
+		hdr.HSTS = s.HSTS
 		b.Reset()
 		httpsim.WriteResponse(&b, 200, hdr, body)
 		s.respHTTPS = append([]byte(nil), b.Bytes()...)
 
 		b.Reset()
-		httpsim.WriteResponse(&b, 301, map[string]string{
-			"Location": "https://" + s.Hostname + "/",
+		httpsim.WriteResponse(&b, 301, httpsim.Header{
+			Location: "https://" + s.Hostname + "/",
+			Close:    true,
 		}, nil)
 		s.respRedirect = append([]byte(nil), b.Bytes()...)
 	})
@@ -168,7 +167,7 @@ func (s *Site) render() {
 // resp503 is the canned unavailable-site answer.
 var resp503 = func() []byte {
 	var b bytes.Buffer
-	httpsim.WriteResponse(&b, 503, nil, []byte("service unavailable"))
+	httpsim.WriteResponse(&b, 503, httpsim.Header{Close: true}, []byte("service unavailable"))
 	return b.Bytes()
 }()
 
