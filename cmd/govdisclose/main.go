@@ -9,7 +9,9 @@
 //
 // With -journal, the initial worldwide scan checkpoints to <path> and the
 // two-months-later follow-up scan to <path>.followup; re-running with
-// -resume continues either scan from the last completed host.
+// -resume continues either scan from the last completed host. The
+// follow-up re-probes only the hosts the remediation changed (plus hosts
+// behind transient faults), so <path>.followup holds just those.
 package main
 
 import (
@@ -21,7 +23,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/notify"
 	"repro/internal/report"
-	"repro/internal/scanner"
 	"repro/internal/world"
 )
 
@@ -52,26 +53,17 @@ func main() {
 	fmt.Print(report.Campaign(campaign))
 	fmt.Println()
 
-	invalid := study.InvalidWorldwideHosts(ctx)
-	study.World.Remediate(invalid, world.DefaultRemediationRates(), study.Rand("remediation"))
-
-	var followJournal *scanner.Journal
 	if *journal != "" {
-		if !*resume {
-			os.Remove(*journal + ".followup")
-		}
-		j, err := scanner.OpenJournal(*journal + ".followup")
-		if err != nil {
+		if err := study.SetCheckpoint(*journal+".followup", *resume); err != nil {
 			fmt.Fprintln(os.Stderr, "govdisclose:", err)
 			os.Exit(1)
 		}
-		defer j.Close()
-		followJournal = j
 	}
-	after := study.FollowUpScan(ctx, func(cfg *scanner.Config) {
-		cfg.Seed = *seed
-		cfg.Journal = followJournal
-	})
+	_, after, _ := study.Remediate(ctx, study.Rand("remediation"))
+	if err := study.CloseCheckpoint(); err != nil {
+		fmt.Fprintln(os.Stderr, "govdisclose:", err)
+		os.Exit(1)
+	}
 	eff, err := notify.MeasureEffectiveness(before, after)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "govdisclose:", err)

@@ -1,9 +1,9 @@
 package repro_test
 
-// Performance gates: the four properties the design depends on, checked
-// as plain tests over the shared benchmark study (bench_test.go) at
-// benchScale(). govbench measures end to end; these only fail the build
-// when a hot path regresses past its recorded bound. All four skip
+// Performance gates: the properties the design depends on, checked
+// as plain tests, most over the shared benchmark study (bench_test.go)
+// at benchScale(). govbench measures end to end; these only fail the build
+// when a hot path regresses past its recorded bound. All of them skip
 // under -race, whose detector drops sync.Pool items and instruments
 // every access, so neither allocation counts nor timings mean anything
 // there.
@@ -16,9 +16,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/resultset"
 	"repro/internal/scanner"
 	"repro/internal/serve/loadgen"
+	"repro/internal/world"
 )
 
 const (
@@ -45,6 +47,13 @@ const (
 	// download and fixed-field headers cost 90.3.
 	renewalFleetAllocsBudget = 120
 	renewalFleetScale        = 0.01
+	// suiteDialsBudget bounds the simnet dials of one experiment suite on
+	// a fresh world.TestConfig() study, between the two designs measured
+	// when the gate was set: follow-up scans that re-probe the whole
+	// worldwide corpus cost 66,037 dials; follow-ups that re-probe only
+	// the hosts remediation changed (and hosts behind transient faults)
+	// cost 41,445.
+	suiteDialsBudget = 50000
 )
 
 func skipUnderRace(t *testing.T) {
@@ -168,5 +177,29 @@ func TestGateRenewalFleetAllocs(t *testing.T) {
 	t.Logf("renewal fleet: %.1f allocs per order attempt (budget %d)", best, renewalFleetAllocsBudget)
 	if best > renewalFleetAllocsBudget {
 		t.Errorf("renewal fleet allocates %.1f per order attempt (budget %d)", best, renewalFleetAllocsBudget)
+	}
+}
+
+// TestGateSuiteDials bounds the work of one full experiment suite by the
+// simnet dials it makes, and requires the count to be reproducible: the
+// world-mutating experiments must pay for the hosts their mutation
+// touched, not for the whole corpus.
+func TestGateSuiteDials(t *testing.T) {
+	skipUnderRace(t)
+	var dials [2]int64
+	for i := range dials {
+		s := core.MustNewStudy(world.TestConfig())
+		before := s.World.Net.DialCount()
+		if _, err := core.RunAllExperiments(context.Background(), s, core.SuiteOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		dials[i] = s.World.Net.DialCount() - before
+	}
+	t.Logf("experiment suite: %d simnet dials (budget %d)", dials[0], suiteDialsBudget)
+	if dials[0] != dials[1] {
+		t.Errorf("two suites on the same config dialed %d and %d times", dials[0], dials[1])
+	}
+	if dials[0] > suiteDialsBudget {
+		t.Errorf("experiment suite made %d simnet dials (budget %d)", dials[0], suiteDialsBudget)
 	}
 }

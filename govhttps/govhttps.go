@@ -132,15 +132,14 @@ func Disclose(ctx context.Context, s *Study) *notify.CampaignResult {
 	return notify.Campaign(reports, s.Rand("disclosure"))
 }
 
-// FollowUp applies the §7.2.2 remediation model to the world, re-scans, and
-// reports notification effectiveness.
+// FollowUp applies the §7.2.2 remediation model to the world (drawn from
+// r, or the study's "remediation" stream when r is nil), re-scans, and
+// reports notification effectiveness. The study's worldwide dataset
+// reflects the remediated world afterwards.
 func FollowUp(ctx context.Context, s *Study, r *rand.Rand) (notify.Effectiveness, error) {
-	before := s.Worldwide(ctx)
-	invalid := s.InvalidWorldwideHosts(ctx)
 	if r == nil {
 		r = s.Rand("remediation")
 	}
-	s.World.Remediate(invalid, world.DefaultRemediationRates(), r)
-	after := s.FollowUpScan(ctx, nil)
+	before, after, _ := s.Remediate(ctx, r)
 	return notify.MeasureEffectiveness(before, after)
 }

@@ -2,8 +2,12 @@ package govhttps
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/resultset"
+	"repro/internal/scanner"
 )
 
 var study = MustNewStudy(SmallConfig())
@@ -85,5 +89,15 @@ func TestDiscloseAndFollowUp(t *testing.T) {
 	}
 	if eff.PreviouslyInvalid == 0 || eff.Fixed == 0 {
 		t.Errorf("effectiveness = %+v", eff)
+	}
+
+	// FollowUp mutated the world; the worldwide dataset must now be that
+	// world's, as a plain rescan at the study scan time sees it.
+	cfg := scanner.DefaultConfig(s.Store(), s.World.ScanTime)
+	raw := scanner.New(s.World.Net, s.World.DNS, s.World.Class, cfg).ScanAll(ctx, s.World.GovHosts)
+	want := resultset.New(raw, resultset.Options{CountryOf: s.World.CountryOf})
+	got := s.Worldwide(ctx)
+	if !reflect.DeepEqual(got.Results(), want.Results()) || got.Counts() != want.Counts() {
+		t.Errorf("worldwide after FollowUp is stale: counts %+v, rescan %+v", got.Counts(), want.Counts())
 	}
 }

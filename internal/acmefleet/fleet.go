@@ -264,6 +264,8 @@ type Fleet struct {
 // hostState is the fleet's bookkeeping for one enrolled host.
 type hostState struct {
 	hostname string
+	domain   string // registered domain, the per-domain rate-limit key
+	rank     int    // index in Fleet.hosts: hostname order, the due tie-break
 	reason   recommend.Rule
 	key      cert.PublicKey
 	state    State
@@ -325,6 +327,8 @@ func (f *Fleet) enroll(hostname string, reason recommend.Rule) {
 	}
 	h := &hostState{
 		hostname: hostname,
+		domain:   acme.RegisteredDomain(hostname),
+		rank:     len(f.hosts),
 		reason:   reason,
 		key:      hostKey(f.Cfg.Seed, hostname),
 		due:      f.Cfg.Start,
@@ -403,7 +407,7 @@ func (f *Fleet) Run(ctx context.Context) *Report {
 			// Client-side rate-limit pacing: a deferred host burns no
 			// attempt and no server-side order — it just moves to the
 			// window's next free slot.
-			if next, ok := f.admit(acme.RegisteredDomain(h.hostname), now); !ok {
+			if next, ok := f.admit(h.domain, now); !ok {
 				h.due = next
 				heap.Push(&f.queue, h)
 				continue
@@ -660,6 +664,7 @@ func prune(grants []time.Time, floor time.Time) []time.Time {
 }
 
 // dueHeap orders hosts by (due, hostname): the renewal priority queue.
+// Ties break on rank, which is hostname order because enrollment is.
 type dueHeap []*hostState
 
 func (q dueHeap) Len() int { return len(q) }
@@ -667,7 +672,7 @@ func (q dueHeap) Less(i, j int) bool {
 	if !q[i].due.Equal(q[j].due) {
 		return q[i].due.Before(q[j].due)
 	}
-	return q[i].hostname < q[j].hostname
+	return q[i].rank < q[j].rank
 }
 func (q dueHeap) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
 func (q *dueHeap) Push(x any)   { *q = append(*q, x.(*hostState)) }

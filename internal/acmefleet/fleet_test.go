@@ -2,6 +2,7 @@ package acmefleet
 
 import (
 	"bytes"
+	"container/heap"
 	"context"
 	"net/netip"
 	"testing"
@@ -63,6 +64,48 @@ func TestEnrollSelectsMisconfigured(t *testing.T) {
 		if enrolled[i-1].Hostname >= enrolled[i].Hostname {
 			t.Fatal("enrollment not sorted by hostname")
 		}
+	}
+}
+
+// TestDueQueueTiesPopInHostnameOrder: hosts due at the same instant leave
+// the queue in hostname order (the heap breaks ties by enrollment rank),
+// and an earlier due time still wins over a smaller hostname.
+func TestDueQueueTiesPopInHostnameOrder(t *testing.T) {
+	w, set := fixture(t, 41)
+	cfg := quickConfig(41)
+	f := New(w, set, cfg)
+	sorted := func(hs []*hostState) bool {
+		for i := 1; i < len(hs); i++ {
+			if hs[i-1].hostname >= hs[i].hostname {
+				return false
+			}
+		}
+		return true
+	}
+	all := f.popDue(f.Cfg.Start)
+	if len(all) != len(f.hosts) || len(all) < 20 {
+		t.Fatalf("popped %d of %d enrolled hosts", len(all), len(f.hosts))
+	}
+	if !sorted(all) {
+		t.Fatal("hosts due together did not pop in hostname order")
+	}
+
+	// Re-queue in reverse, alternating two due times: each band must pop
+	// in hostname order, the earlier band first.
+	early, late := f.Cfg.Start.Add(time.Hour), f.Cfg.Start.Add(2*time.Hour)
+	for i := len(all) - 1; i >= 0; i-- {
+		all[i].due = late
+		if i%2 == 0 {
+			all[i].due = early
+		}
+		heap.Push(&f.queue, all[i])
+	}
+	first, second := f.popDue(early), f.popDue(late)
+	if len(first) != (len(all)+1)/2 || len(first)+len(second) != len(all) {
+		t.Fatalf("bands popped %d + %d of %d hosts", len(first), len(second), len(all))
+	}
+	if !sorted(first) || !sorted(second) {
+		t.Fatal("a due band did not pop in hostname order")
 	}
 }
 

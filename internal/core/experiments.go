@@ -311,18 +311,11 @@ func runS534(_ context.Context, s *Study) (string, error) {
 }
 
 func runS722(ctx context.Context, s *Study) (string, error) {
-	before := s.Worldwide(ctx)
-	invalid := s.InvalidWorldwideHosts(ctx)
-	changed := s.World.Remediate(invalid, world.DefaultRemediationRates(), s.Rand("remediation"))
-	after := s.FollowUpScan(ctx, nil)
+	before, after, _ := s.Remediate(ctx, s.Rand("remediation"))
 	eff, err := notify.MeasureEffectiveness(before, after)
 	if err != nil {
 		return "", err
 	}
-	// The remediation mutated the world under the cache: mark exactly the
-	// changed hosts stale so the next worldwide Get patches the set
-	// instead of rescanning the whole corpus.
-	s.MarkDatasetDirty("worldwide", changed.ChangedHosts())
 	return report.Effectiveness(eff), nil
 }
 
@@ -441,11 +434,9 @@ func runE3(ctx context.Context, s *Study) (string, error) {
 }
 
 func runE4(ctx context.Context, s *Study) (string, error) {
-	before := longitudinal.Capture(s.World.ScanTime, s.Worldwide(ctx))
-	invalid := s.InvalidWorldwideHosts(ctx)
-	changed := s.World.Remediate(invalid, world.DefaultRemediationRates(), s.Rand("longitudinal"))
-	after := longitudinal.Capture(world.FollowUpScanTime, s.FollowUpScan(ctx, nil))
-	s.MarkDatasetDirty("worldwide", changed.ChangedHosts()) // the world changed under the cache
+	scan, followUp, _ := s.Remediate(ctx, s.Rand("longitudinal"))
+	before := longitudinal.Capture(s.World.ScanTime, scan)
+	after := longitudinal.Capture(world.FollowUpScanTime, followUp)
 
 	c := longitudinal.Diff(before, after)
 	var b strings.Builder

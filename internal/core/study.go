@@ -8,6 +8,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"net/netip"
 	"os"
 	"sync"
 	"time"
@@ -332,24 +333,75 @@ func (s *Study) ROK(ctx context.Context) *resultset.Set {
 	return s.mustDataset(ctx, "rok")
 }
 
-// FollowUpScan re-probes the worldwide host list with a fresh scanner at
-// the §7.2.2 follow-up time into a worldwide-shaped index. The
-// result is not cached — it reflects the world as mutated by remediation.
-// configure, when non-nil, adjusts the scanner config (journal, seed)
-// before the scan.
-func (s *Study) FollowUpScan(ctx context.Context, configure func(*scanner.Config)) *resultset.Set {
-	cfg := scanner.DefaultConfig(s.Store(), world.FollowUpScanTime)
-	// Share the study's verification and chain caches: the follow-up scan
-	// revisits the same chains, and cache hits never change results (the
-	// cache keys on chain digest + store; hostname and expiry checks stay
-	// outside it).
+// Remediate runs one §7.2.2 remediation round: it applies the
+// remediation model (drawn from r) to the hosts the current worldwide
+// snapshot measured invalid, marks the changed hosts dirty in the
+// worldwide dataset, and measures the remediated world at the follow-up
+// time. It returns the pre-remediation snapshot, the follow-up set and
+// what changed. Callers must not scan concurrently with it: it mutates
+// the world.
+func (s *Study) Remediate(ctx context.Context, r *rand.Rand) (before, after *resultset.Set, outcome world.RemediationOutcome) {
+	before = s.Worldwide(ctx)
+	outcome = s.World.Remediate(before.InvalidHosts(), world.DefaultRemediationRates(), r)
+	changed := outcome.ChangedHosts()
+	s.MarkDatasetDirty("worldwide", changed)
+	return before, s.followUp(ctx, before, changed), outcome
+}
+
+// followUp builds the worldwide-shaped follow-up set at
+// world.FollowUpScanTime without re-probing the whole corpus. Only two
+// groups of hosts are scanned again: the ones the remediation changed,
+// and the ones whose port-80 or port-443 endpoint carries a transient
+// fault, whose attempt counts depend on dial history. Every other row is
+// the snapshot's, with its chain re-verified at the follow-up time — the
+// only way the scan instant reaches a result. The set equals a full
+// breaker-less rescan of the remediated world as long as the snapshot
+// was scanned without a circuit breaker too, as deterministic study runs
+// are. Re-probed hosts are checkpointed to the study's journal, if any.
+func (s *Study) followUp(ctx context.Context, before *resultset.Set, changed []string) *resultset.Set {
+	stale := make(map[string]bool, len(changed))
+	for _, h := range changed {
+		stale[h] = true
+	}
+	s.mu.Lock()
+	cfg := scanner.DefaultConfig(s.World.Stores[s.storeInUse], world.FollowUpScanTime)
+	cfg.Journal = s.journal
+	s.mu.Unlock()
+	cfg.Seed = s.World.Cfg.Seed
 	cfg.VerifyCache = s.verifyCache
 	cfg.ChainCache = s.chainCache
-	if configure != nil {
-		configure(&cfg)
+	v := verify.Verifier{Store: cfg.Store, Now: cfg.Now, Cache: cfg.VerifyCache}
+	hosts := s.World.GovHosts
+	rows := make([]scanner.Result, len(hosts))
+	var probe []string
+	var probeAt []int
+	for i, h := range hosts {
+		row, ok := before.Lookup(h)
+		if !ok || stale[h] || s.dialHistoryDependent(row.IP) {
+			probe = append(probe, h)
+			probeAt = append(probeAt, i)
+			continue
+		}
+		rows[i] = *row
+		if len(row.Chain) > 0 {
+			rows[i].Verify = v.Verify(row.Chain, h)
+		}
 	}
-	follow := scanner.New(s.World.Net, s.World.DNS, s.World.Class, cfg)
-	return resultset.New(follow.ScanAll(ctx, s.World.GovHosts), s.worldwideOptions())
+	sc := scanner.New(s.World.Net, s.World.DNS, s.World.Class, cfg)
+	for k, r := range sc.ScanAll(ctx, probe) {
+		rows[probeAt[k]] = r
+	}
+	return resultset.New(rows, s.worldwideOptions())
+}
+
+// dialHistoryDependent reports whether a scan of the host at ip depends
+// on the dial history of its port-80 or port-443 endpoint.
+func (s *Study) dialHistoryDependent(ip netip.Addr) bool {
+	if !ip.IsValid() {
+		return false
+	}
+	return s.World.Net.FaultAt(netip.AddrPortFrom(ip, 80)).Mode.Transient() ||
+		s.World.Net.FaultAt(netip.AddrPortFrom(ip, 443)).Mode.Transient()
 }
 
 // RankComparison computes (once per worldwide snapshot) the rank-matched
@@ -392,20 +444,19 @@ func (s *Study) Rand(label string) *rand.Rand {
 // renewals through the simulated ACME CA until the campaign horizon. The
 // campaign mutates the serving world — rotated certificates stay deployed
 // — so the result is memoized for the study's lifetime and the worldwide
-// dataset is patch-invalidated for exactly the changed hosts. Like S722
-// and E4, callers must not scan concurrently with it.
+// dataset is patch-invalidated for the renewed and chaos-faulted hosts.
+// The memo is checked before worldwide is resolved, so repeat calls leave
+// that patch for the next worldwide reader to build, if there is one.
+// Like S722 and E4, callers must not scan concurrently with it.
 func (s *Study) FleetReport(ctx context.Context) (*acmefleet.Report, acmefleet.ChaosOutcome, error) {
-	// Resolve the worldwide snapshot before taking the fleet lock:
-	// enrollment reads it, and the scan must complete before the campaign
-	// starts changing sites underneath the scanner.
-	set, err := s.datasets.Get(ctx, "worldwide")
-	if err != nil {
-		return nil, acmefleet.ChaosOutcome{}, err
-	}
 	s.fleetMu.Lock()
 	defer s.fleetMu.Unlock()
 	if s.fleetReport != nil {
 		return s.fleetReport, s.fleetChaos, nil
+	}
+	set, err := s.datasets.Get(ctx, "worldwide")
+	if err != nil {
+		return nil, acmefleet.ChaosOutcome{}, err
 	}
 	enrolled := acmefleet.Enroll(set)
 	hosts := make([]string, len(enrolled))
@@ -415,7 +466,13 @@ func (s *Study) FleetReport(ctx context.Context) (*acmefleet.Report, acmefleet.C
 	chaos := acmefleet.DefaultChaos().Apply(s.World, hosts, s.World.Cfg.Seed)
 	fleet := acmefleet.New(s.World, set, s.fleetConfig(len(enrolled)))
 	rep := fleet.Run(ctx)
-	s.MarkDatasetDirty("worldwide", rep.ChangedHosts())
+	// Rotated certificates are not the campaign's only trace: the chaos
+	// faults are too (a truncating port 80 changes what a scan sees).
+	dirty := rep.ChangedHosts()
+	dirty = append(dirty, chaos.Flaky...)
+	dirty = append(dirty, chaos.Truncated...)
+	dirty = append(dirty, chaos.CAADenied...)
+	s.MarkDatasetDirty("worldwide", dirty)
 	s.fleetReport, s.fleetChaos = rep, chaos
 	return rep, chaos, nil
 }

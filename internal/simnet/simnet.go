@@ -77,8 +77,10 @@ const (
 	FaultTruncate
 )
 
-// transient reports whether the mode can let later dials succeed.
-func (f Fault) transient() bool { return f == FaultFlaky || f == FaultProb }
+// Transient reports whether the mode can let later dials succeed. Dials
+// to a transient endpoint then depend on its dial history, so one scan's
+// result for it cannot stand in for a later scan's.
+func (f Fault) Transient() bool { return f == FaultFlaky || f == FaultProb }
 
 // FaultSpec is the full description of an endpoint failure mode. The zero
 // value means "no fault". Legacy SetFault(ep, mode) is shorthand for
@@ -268,7 +270,7 @@ func (n *Network) Dial(ctx context.Context, fromVantage string, ep netip.AddrPor
 	n.dials++
 	spec := n.faults[ep]
 	seq := n.dialSeq[ep]
-	if spec.Mode.transient() {
+	if spec.Mode.Transient() {
 		n.dialSeq[ep] = seq + 1
 	}
 	fw := n.firewall
