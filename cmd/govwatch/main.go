@@ -87,20 +87,7 @@ func runObservatory(w *world.World, seed int64, days, churn, workers, max int) {
 	fmt.Printf("baseline scan: %d government hosts\n", len(w.GovHosts))
 	s := scanner.New(w.Net, w.DNS, w.Class, scanner.DefaultConfig(w.Stores["apple"], w.ScanTime))
 	raw := s.ScanAll(context.Background(), w.GovHosts)
-	rankByHost := make(map[string]int, len(w.TopLists.TrancoGov))
-	for _, rh := range w.TopLists.TrancoGov {
-		rankByHost[rh.Host] = rh.Rank
-	}
-	rankOf := func(h string) (int, bool) {
-		r, ok := rankByHost[h]
-		return r, ok
-	}
-	base := resultset.New(raw, resultset.Options{
-		CountryOf:   w.CountryOf,
-		RankOf:      rankOf,
-		RankBuckets: 50,
-		RankMax:     w.TopLists.Max,
-	})
+	base := resultset.New(raw, resultset.Options{CountryOf: w.CountryOf})
 
 	o := observatory.New(w, base, observatory.Config{
 		Seed:         seed,

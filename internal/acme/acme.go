@@ -175,16 +175,12 @@ type Server struct {
 	// everything.
 	Limits RateLimits
 
-	mu     sync.Mutex
+	mu sync.Mutex
+	// orders holds the live orders; a terminal finalize deletes its
+	// entry, keeping a long-running renewal fleet's bookkeeping bounded.
 	orders map[string]*order
-	// orderQueue records order IDs in creation order; completed orders
-	// leave the map and the queue is compacted when mostly dead, keeping
-	// a long-running renewal fleet's bookkeeping bounded. All iteration
-	// over orders walks this queue — never the map — so observable order
-	// is creation order, not map order.
-	orderQueue []string
-	seq        int
-	policy     *ReusePolicy
+	seq    int
+	policy *ReusePolicy
 	// Sliding rate-limit windows: grant timestamps in ascending order.
 	domainGrants map[string][]time.Time
 	globalGrants []time.Time
@@ -195,7 +191,6 @@ type order struct {
 	hostnames []string
 	key       cert.PublicKey
 	tokens    map[string]string // hostname -> token
-	validated bool
 }
 
 // NewServer assembles an ACME server running on the given clock. The
@@ -364,39 +359,7 @@ func (s *Server) NewOrder(req OrderRequest) (OrderResponse, error) {
 		o.tokens[strings.ToLower(h)] = fmt.Sprintf("tok-%06d-%d-%08x", s.seq, i, tokenHash(h, s.seq))
 	}
 	s.orders[o.id] = o
-	s.orderQueue = append(s.orderQueue, o.id)
 	return OrderResponse{OrderID: o.id, Tokens: copyTokens(o.tokens)}, nil
-}
-
-// PendingOrders returns the IDs of not-yet-completed orders in creation
-// order (never map order — the fleet's bookkeeping must read the same
-// under any goroutine interleaving that created the same orders).
-func (s *Server) PendingOrders() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.orders))
-	for _, id := range s.orderQueue {
-		if _, live := s.orders[id]; live {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// completeLocked retires an order that reached a terminal outcome and
-// compacts the creation-order queue once it is mostly tombstones, so a
-// fleet driving tens of thousands of renewals holds O(live) state.
-func (s *Server) completeLocked(id string) {
-	delete(s.orders, id)
-	if len(s.orderQueue) > 16 && len(s.orderQueue) > 2*len(s.orders) {
-		live := s.orderQueue[:0]
-		for _, qid := range s.orderQueue {
-			if _, ok := s.orders[qid]; ok {
-				live = append(live, qid)
-			}
-		}
-		s.orderQueue = live
-	}
 }
 
 // Finalize validates every challenge and issues the certificate chain.
@@ -412,7 +375,7 @@ func (s *Server) Finalize(ctx context.Context, orderID string) ([]*cert.Certific
 	}
 	retire := func() {
 		s.mu.Lock()
-		s.completeLocked(orderID)
+		delete(s.orders, orderID)
 		s.mu.Unlock()
 	}
 
@@ -453,10 +416,7 @@ func (s *Server) Finalize(ctx context.Context, orderID string) ([]*cert.Certific
 		// unsynchronized counter and independent of completion order.
 		Serial: issuanceSerial(o.hostnames[0], now),
 	})
-	s.mu.Lock()
-	o.validated = true
-	s.completeLocked(orderID)
-	s.mu.Unlock()
+	retire()
 	s.policy.Record(o.key.ID, o.hostnames)
 	return chain, nil
 }

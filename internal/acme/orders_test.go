@@ -170,9 +170,9 @@ func TestProblemCodesSurviveHTTP(t *testing.T) {
 	}
 }
 
-// TestPendingOrdersCreationOrder proves order bookkeeping is keyed on
-// creation order, not map iteration, and that terminal finalizes retire
-// orders (satellite: map-range audit under fleet load).
+// TestPendingOrdersCreationOrder proves order IDs follow creation order
+// and that a terminal finalize retires exactly its own order: finalizing
+// it again finds no order, while its neighbours stay live.
 func TestPendingOrdersCreationOrder(t *testing.T) {
 	h := newHarness(t)
 	h.addSite(t, "ok.gov.br", "190.10.0.1")
@@ -187,36 +187,40 @@ func TestPendingOrdersCreationOrder(t *testing.T) {
 		}
 		ids = append(ids, resp.OrderID)
 	}
-	got := h.server.PendingOrders()
-	if len(got) != len(ids) {
-		t.Fatalf("pending = %d, want %d", len(got), len(ids))
-	}
-	for i := range ids {
-		if got[i] != ids[i] {
-			t.Fatalf("pending[%d] = %s, want %s (creation order)", i, got[i], ids[i])
+	for i := 1; i < len(ids); i++ {
+		if ids[i-1] >= ids[i] {
+			t.Fatalf("order ids not in creation order: %s before %s", ids[i-1], ids[i])
 		}
 	}
 	// Failed finalize (no provisioning) is terminal: the order retires.
-	if _, err := h.server.Finalize(context.Background(), ids[3]); err == nil {
+	_, err := h.server.Finalize(context.Background(), ids[3])
+	if err == nil {
 		t.Fatal("finalize without provisioning succeeded")
 	}
-	for _, id := range h.server.PendingOrders() {
-		if id == ids[3] {
-			t.Fatal("terminally failed order still pending")
-		}
+	if errors.Is(err, acme.ErrUnknownOrder) {
+		t.Fatalf("first finalize of a live order: %v", err)
+	}
+	if _, err := h.server.Finalize(context.Background(), ids[3]); !errors.Is(err, acme.ErrUnknownOrder) {
+		t.Fatalf("terminally failed order still live: err = %v, want ErrUnknownOrder", err)
+	}
+	if _, err := h.server.Finalize(context.Background(), ids[4]); errors.Is(err, acme.ErrUnknownOrder) {
+		t.Fatal("retiring one order retired its neighbour")
 	}
 }
 
 // TestOrderBookkeepingConcurrent hammers order creation and finalization
 // from many goroutines; run under -race it proves the bookkeeping is
-// synchronized, and afterwards the pending set must be exactly the orders
-// never finalized, in creation order.
+// synchronized, and afterwards exactly the finalized orders are retired.
 func TestOrderBookkeepingConcurrent(t *testing.T) {
 	h := newHarness(t)
 	h.addSite(t, "renew.gov.br", "190.10.0.1")
 	const workers = 8
 	const perWorker = 25
-	idCh := make(chan string, workers*perWorker)
+	type created struct {
+		id        string
+		finalized bool
+	}
+	idCh := make(chan created, workers*perWorker)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -231,34 +235,35 @@ func TestOrderBookkeepingConcurrent(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				idCh <- resp.OrderID
-				if i%2 == 0 {
-					// Half the orders reach a terminal state (challenge
-					// failure — nothing provisioned) and must retire.
+				// Half the orders reach a terminal state (challenge
+				// failure — nothing provisioned) and must retire.
+				fin := i%2 == 0
+				if fin {
 					h.server.Finalize(context.Background(), resp.OrderID)
 				}
-				h.server.PendingOrders()
+				idCh <- created{resp.OrderID, fin}
 			}
 		}(w)
 	}
 	wg.Wait()
 	close(idCh)
 	seen := make(map[string]bool)
-	for id := range idCh {
-		if seen[id] {
-			t.Fatalf("duplicate order id %s", id)
+	retired := 0
+	for c := range idCh {
+		if seen[c.id] {
+			t.Fatalf("duplicate order id %s", c.id)
 		}
-		seen[id] = true
+		seen[c.id] = true
+		_, err := h.server.Finalize(context.Background(), c.id)
+		if gone := errors.Is(err, acme.ErrUnknownOrder); gone != c.finalized {
+			t.Fatalf("order %s: finalized=%v but retired=%v (err %v)", c.id, c.finalized, gone, err)
+		}
+		if c.finalized {
+			retired++
+		}
 	}
 	// Even i (13 of 25 per worker) reached a terminal finalize and retired.
-	want := workers * (perWorker / 2)
-	pending := h.server.PendingOrders()
-	if len(pending) != want {
-		t.Fatalf("pending = %d, want %d", len(pending), want)
-	}
-	for i := 1; i < len(pending); i++ {
-		if pending[i-1] >= pending[i] {
-			t.Fatalf("pending not in creation order: %s before %s", pending[i-1], pending[i])
-		}
+	if want := workers * (perWorker - perWorker/2); retired != want {
+		t.Fatalf("retired = %d, want %d", retired, want)
 	}
 }

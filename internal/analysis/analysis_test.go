@@ -264,12 +264,15 @@ func TestCountryBreakdown(t *testing.T) {
 	if len(rows) < 100 {
 		t.Fatalf("countries = %d", len(rows))
 	}
-	us, ok := Row(rows, "us")
+	byCC := make(map[string]CountryRow, len(rows))
+	for _, r := range rows {
+		byCC[r.Country] = r
+	}
+	us, ok := byCC["us"]
 	if !ok {
 		t.Fatal("no US row")
 	}
-	kr, _ := Row(rows, "kr")
-	cn, _ := Row(rows, "cn")
+	kr, cn := byCC["kr"], byCC["cn"]
 	if us.ValidPct() <= kr.ValidPct() {
 		t.Errorf("US validity (%.1f) should exceed ROK (%.1f)", us.ValidPct(), kr.ValidPct())
 	}

@@ -35,16 +35,6 @@ func CountryBreakdown(set *resultset.Set) []CountryRow {
 	return out
 }
 
-// Row finds a country's row.
-func Row(rows []CountryRow, cc string) (CountryRow, bool) {
-	for _, r := range rows {
-		if r.Country == cc {
-			return r, true
-		}
-	}
-	return CountryRow{}, false
-}
-
 // CrossGovStats summarizes the cross-government link graph (Figure A.5,
 // §7.3.3).
 type CrossGovStats struct {

@@ -129,11 +129,11 @@ func TestStoreAblation(t *testing.T) {
 	// the counts match or Apple is stricter.
 	ctx := context.Background()
 	s := MustNewStudy(world.Config{Seed: 4, Scale: 0.01})
-	apple := len(s.InvalidWorldwideHosts(ctx))
+	apple := len(s.Worldwide(ctx).InvalidHosts())
 	if err := s.UseStore("microsoft"); err != nil {
 		t.Fatal(err)
 	}
-	microsoft := len(s.InvalidWorldwideHosts(ctx))
+	microsoft := len(s.Worldwide(ctx).InvalidHosts())
 	if apple < microsoft {
 		t.Errorf("apple store invalid=%d < microsoft invalid=%d", apple, microsoft)
 	}

@@ -18,7 +18,7 @@ import (
 func fullScan(ctx context.Context, s *Study, now time.Time) *resultset.Set {
 	cfg := scanner.DefaultConfig(s.Store(), now)
 	raw := scanner.New(s.World.Net, s.World.DNS, s.World.Class, cfg).ScanAll(ctx, s.World.GovHosts)
-	return resultset.New(raw, s.worldwideOptions())
+	return resultset.New(raw, s.indexOptions())
 }
 
 // sameSet reports the first difference between two sets' rows and counts.

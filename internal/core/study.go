@@ -25,8 +25,7 @@ import (
 	"repro/internal/world"
 )
 
-// RankBins is the bucket count of the Figure 7 rank comparison; the
-// worldwide dataset's rank index uses the same framing.
+// RankBins is the bucket count of the Figure 7 rank comparison.
 const RankBins = 50
 
 // Study is a fully built world plus the dataset registry that lazily
@@ -50,10 +49,6 @@ type Study struct {
 	// (worldwide, usa:<key>, usa:all, rok); UseStore invalidates every
 	// entry atomically.
 	datasets *dataset.Registry
-
-	// rankOf maps worldwide hostnames to their Tranco rank for the
-	// resultset rank index.
-	rankOf map[string]int
 
 	// fleetReport memoizes the §8.1 renewal-fleet campaign (E7/E8 and the
 	// acmefleet dataset all consume one run; the campaign mutates the
@@ -84,61 +79,42 @@ func NewStudy(cfg world.Config) (*Study, error) {
 		verifyCache: verify.NewCache(),
 		chainCache:  cert.NewChainCache(),
 	}
-	s.rankOf = make(map[string]int, len(w.TopLists.TrancoGov))
-	for _, rh := range w.TopLists.TrancoGov {
-		s.rankOf[rh.Host] = rh.Rank
-	}
 	s.datasets = dataset.NewRegistry(s.scanDataset)
 	s.datasets.Register(dataset.Source{
 		Name:  "worldwide",
 		Hosts: func() []string { return s.World.GovHosts },
-		Opts:  func() resultset.Options { return s.worldwideOptions() },
+		Opts:  s.indexOptions,
 	})
 	for _, ds := range w.USA.Datasets {
 		hosts := ds.Hosts
 		s.datasets.Register(dataset.Source{
 			Name:  "usa:" + ds.Key,
 			Hosts: func() []string { return hosts },
-			Opts:  func() resultset.Options { return s.caseStudyOptions() },
+			Opts:  s.indexOptions,
 		})
 	}
 	s.datasets.Register(dataset.Source{
 		Name:  "usa:all",
 		Hosts: func() []string { return s.World.USA.AllHosts() },
-		Opts:  func() resultset.Options { return s.caseStudyOptions() },
+		Opts:  s.indexOptions,
 		Build: func(ctx context.Context) (*resultset.Set, error) { return s.assembleUSAAll(ctx) },
 	})
 	s.datasets.Register(dataset.Source{
 		Name:  "rok",
 		Hosts: func() []string { return s.World.ROK.Hosts },
-		Opts:  func() resultset.Options { return s.caseStudyOptions() },
+		Opts:  s.indexOptions,
 	})
 	s.datasets.Register(dataset.Source{
 		Name:  "acmefleet",
 		Hosts: func() []string { return s.fleetHosts() },
-		Opts:  func() resultset.Options { return s.caseStudyOptions() },
+		Opts:  s.indexOptions,
 		Build: func(ctx context.Context) (*resultset.Set, error) { return s.scanFleetCorpus(ctx) },
 	})
 	return s, nil
 }
 
-// worldwideOptions is the index framing of the worldwide corpus: country
-// attribution plus the Figure 7 rank buckets.
-func (s *Study) worldwideOptions() resultset.Options {
-	return resultset.Options{
-		CountryOf: s.World.CountryOf,
-		RankOf: func(h string) (int, bool) {
-			r, ok := s.rankOf[h]
-			return r, ok
-		},
-		RankBuckets: RankBins,
-		RankMax:     s.World.TopLists.Max,
-	}
-}
-
-// caseStudyOptions is the index framing of the USA/ROK corpora: country
-// attribution only (their hosts carry no top-million rank).
-func (s *Study) caseStudyOptions() resultset.Options {
+// indexOptions is the index framing of every corpus: country attribution.
+func (s *Study) indexOptions() resultset.Options {
 	return resultset.Options{CountryOf: s.World.CountryOf}
 }
 
@@ -165,7 +141,7 @@ func (s *Study) assembleUSAAll(ctx context.Context) (*resultset.Set, error) {
 		}
 		sources = append(sources, set.Results())
 	}
-	set, err := resultset.Assemble(s.World.USA.AllHosts(), s.caseStudyOptions(), sources...)
+	set, err := resultset.Assemble(s.World.USA.AllHosts(), s.indexOptions(), sources...)
 	if err != nil {
 		return nil, fmt.Errorf("core: usa:all: %w", err)
 	}
@@ -391,7 +367,7 @@ func (s *Study) followUp(ctx context.Context, before *resultset.Set, changed []s
 	for k, r := range sc.ScanAll(ctx, probe) {
 		rows[probeAt[k]] = r
 	}
-	return resultset.New(rows, s.worldwideOptions())
+	return resultset.New(rows, s.indexOptions())
 }
 
 // dialHistoryDependent reports whether a scan of the host at ip depends
@@ -420,12 +396,6 @@ func (s *Study) RankComparison(ctx context.Context) analysis.RankComparison {
 	s.rankCmpFor, s.rankCmp = ww, rc
 	s.mu.Unlock()
 	return rc
-}
-
-// InvalidWorldwideHosts lists worldwide hostnames measured invalid, in
-// scan input order (a read-only view of the dataset index).
-func (s *Study) InvalidWorldwideHosts(ctx context.Context) []string {
-	return s.Worldwide(ctx).InvalidHosts()
 }
 
 // Rand derives a deterministic source from the study seed and a label.
@@ -527,7 +497,7 @@ func (s *Study) scanFleetCorpus(ctx context.Context) (*resultset.Set, error) {
 	cfg.VerifyCache = s.verifyCache
 	cfg.ChainCache = s.chainCache
 	sc := scanner.New(s.World.Net, s.World.DNS, s.World.Class, cfg)
-	return resultset.New(sc.ScanAll(ctx, s.fleetHosts()), s.caseStudyOptions()), nil
+	return resultset.New(sc.ScanAll(ctx, s.fleetHosts()), s.indexOptions()), nil
 }
 
 // LinkGraph extracts the world's hyperlink graph for the cross-government

@@ -177,11 +177,8 @@ func largestPowerOfTwoBelow(n int) int {
 	return k
 }
 
-// Proof errors.
-var (
-	ErrIndexOutOfRange = errors.New("ctlog: index out of range")
-	ErrBadProof        = errors.New("ctlog: proof verification failed")
-)
+// ErrIndexOutOfRange is returned for a proof request outside the log.
+var ErrIndexOutOfRange = errors.New("ctlog: index out of range")
 
 // InclusionProof returns the audit path for the entry at index within the
 // first treeSize entries (RFC 6962 §2.1.1).

@@ -122,9 +122,8 @@ func Territories() []Country {
 }
 
 var (
-	index           map[string]Country
-	popRanksOnce    map[string]int
-	popRanksOrdered []Country
+	index        map[string]Country
+	popRanksOnce map[string]int
 )
 
 func init() {
@@ -154,14 +153,5 @@ func populationRanks() map[string]int {
 		ranks[c.Code] = i + 1
 	}
 	popRanksOnce = ranks
-	popRanksOrdered = ordered
 	return ranks
-}
-
-// ByPopulation returns all countries ordered by descending population.
-func ByPopulation() []Country {
-	populationRanks()
-	out := make([]Country, len(popRanksOrdered))
-	copy(out, popRanksOrdered)
-	return out
 }

@@ -118,11 +118,19 @@ func TestPopulationRank(t *testing.T) {
 }
 
 func TestByPopulationOrdering(t *testing.T) {
-	ordered := ByPopulation()
+	all := All()
+	ordered := make([]Country, len(all))
+	for _, c := range all {
+		rank, ok := PopulationRank(c.Code)
+		if !ok || rank < 1 || rank > len(ordered) || ordered[rank-1].Code != "" {
+			t.Fatalf("PopulationRank(%s) = %d,%v: not a distinct rank in 1..%d", c.Code, rank, ok, len(ordered))
+		}
+		ordered[rank-1] = c
+	}
 	for i := 1; i < len(ordered); i++ {
 		if ordered[i].Population > ordered[i-1].Population {
-			t.Fatalf("ByPopulation out of order at %d: %s > %s",
-				i, ordered[i].Code, ordered[i-1].Code)
+			t.Fatalf("population rank out of order at %d: %s > %s",
+				i+1, ordered[i].Code, ordered[i-1].Code)
 		}
 	}
 }

@@ -82,24 +82,6 @@ func (f *Filter) IsGov(hostname string) bool {
 	return ok
 }
 
-// FilterHosts returns the subset of hostnames that match, de-duplicated,
-// preserving first-seen order.
-func (f *Filter) FilterHosts(hostnames []string) []string {
-	seen := make(map[string]bool, len(hostnames))
-	var out []string
-	for _, h := range hostnames {
-		n := normalize(h)
-		if seen[n] {
-			continue
-		}
-		if f.IsGov(n) {
-			seen[n] = true
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
 // CountryOf returns the country code for a government hostname, or "" when
 // the hostname does not match the filter.
 func (f *Filter) CountryOf(hostname string) string {

@@ -101,17 +101,6 @@ func TestNormalization(t *testing.T) {
 	}
 }
 
-func TestFilterHostsDedup(t *testing.T) {
-	f := New()
-	in := []string{
-		"a.gov.br", "b.example.com", "a.gov.br", "A.GOV.BR", "c.gob.mx",
-	}
-	got := f.FilterHosts(in)
-	if len(got) != 2 || got[0] != "a.gov.br" || got[1] != "c.gob.mx" {
-		t.Errorf("FilterHosts = %v", got)
-	}
-}
-
 func TestHasValidCCTLD(t *testing.T) {
 	cases := map[string]bool{
 		"example.fr":     true,

@@ -6,10 +6,7 @@
 // exactly as in the study.
 package hosting
 
-import (
-	"net/netip"
-	"sort"
-)
+import "net/netip"
 
 // Kind is the coarse hosting category used across Figures 5, 6 and A.1.
 type Kind int
@@ -101,16 +98,6 @@ func (c *Classifier) Provider(name string) (*Provider, bool) {
 		}
 	}
 	return nil, false
-}
-
-// ProviderNames lists the known provider names, sorted.
-func (c *Classifier) ProviderNames() []string {
-	out := make([]string, 0, len(c.providers))
-	for _, p := range c.providers {
-		out = append(out, p.Name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 func pfx(cidrs ...string) []netip.Prefix {

@@ -44,18 +44,6 @@ func TestProviderLookup(t *testing.T) {
 	}
 }
 
-func TestProviderNamesSorted(t *testing.T) {
-	names := DefaultClassifier().ProviderNames()
-	if len(names) != 7 {
-		t.Fatalf("providers = %d, want 7", len(names))
-	}
-	for i := 1; i < len(names); i++ {
-		if names[i-1] > names[i] {
-			t.Fatal("names unsorted")
-		}
-	}
-}
-
 func TestKindString(t *testing.T) {
 	if Cloud.String() != "Cloud" || CDN.String() != "CDN" || Private.String() != "Private" {
 		t.Error("kind labels wrong")
@@ -66,9 +54,11 @@ func TestPrefixesDisjoint(t *testing.T) {
 	// The classifier's correctness relies on each provider owning a
 	// disjoint block of the simulated address plan.
 	c := DefaultClassifier()
+	if len(c.providers) != 7 {
+		t.Fatalf("providers = %d, want 7", len(c.providers))
+	}
 	var all []netip.Prefix
-	for _, name := range c.ProviderNames() {
-		p, _ := c.Provider(name)
+	for _, p := range c.providers {
 		all = append(all, p.Prefixes...)
 	}
 	for i := range all {

@@ -26,11 +26,9 @@ var DeterministicPackages = []string{
 
 // WallClockPackages are the packages whose business is genuinely the wall
 // clock, exempt from walltime as a package rather than line by line:
-// simclock implements the Real clock, and tlsprobe scans the actual
-// Internet where elapsed wall time is the measurement.
+// simclock implements the Real clock.
 var WallClockPackages = []string{
 	"repro/internal/simclock",
-	"repro/internal/tlsprobe",
 }
 
 // LongRunningPackages are the packages whose goroutines live for a whole

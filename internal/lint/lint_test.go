@@ -96,7 +96,7 @@ func TestWalltimeFixture(t *testing.T) {
 
 func TestWalltimePackageAllowlist(t *testing.T) {
 	// The same fixture lints clean when its package is on the analyzer's
-	// wall-clock allowlist (the tlsprobe/simclock exemption mechanism).
+	// wall-clock allowlist (the simclock exemption mechanism).
 	findings := runFixture(t, "walltime", Walltime(fixturePath("walltime")))
 	for _, f := range findings {
 		t.Errorf("allowlisted package still reported: %s", f)

@@ -1,8 +1,9 @@
 // Package notify implements the responsible-disclosure campaign of §7.2:
-// building per-country vulnerability reports, resolving registrar contacts
-// through whois, the email delivery/bounce/acknowledgement accounting, the
-// population-rank response pattern of Figure 13, and the two-month
-// effectiveness measurement of §7.2.2.
+// building per-country vulnerability reports, a registrar model that stands
+// in for the paper's whois contact lookups, the email
+// delivery/bounce/acknowledgement accounting, the population-rank response
+// pattern of Figure 13, and the two-month effectiveness measurement of
+// §7.2.2.
 package notify
 
 import (

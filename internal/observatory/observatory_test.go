@@ -12,23 +12,8 @@ import (
 	"repro/internal/world"
 )
 
-const obsRankBuckets = 50
-
 func obsOptions(w *world.World) resultset.Options {
-	rankOf := func(h string) (int, bool) {
-		for _, rh := range w.TopLists.TrancoGov {
-			if rh.Host == h {
-				return rh.Rank, true
-			}
-		}
-		return 0, false
-	}
-	return resultset.Options{
-		CountryOf:   w.CountryOf,
-		RankOf:      rankOf,
-		RankBuckets: obsRankBuckets,
-		RankMax:     w.TopLists.Max,
-	}
+	return resultset.Options{CountryOf: w.CountryOf}
 }
 
 // runObservatory builds a private world, takes the baseline scan, and

@@ -92,14 +92,12 @@ func (s *Set) ApplyDelta(changed []scanner.Result) (*Set, error) {
 		overlay[i] = &slab[len(slab)-1]
 	}
 	ns.overlay = overlay
-	// The corpus host list is unchanged, so the lazy host index, the
-	// country structure (a pure function of the hostname) and the rank
-	// structure are inherited wholesale.
+	// The corpus host list is unchanged, so the lazy host index and the
+	// country structure (a pure function of the hostname) are inherited
+	// wholesale.
 	ns.byHost = s.byHost
 	ns.ccIdx = s.ccIdx
 	ns.countries = s.countries
-	ns.ranked = s.ranked
-	ns.rankBuckets = s.rankBuckets
 
 	ns.counts = s.counts
 	ns.issuerDomain = s.issuerDomain

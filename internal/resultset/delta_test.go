@@ -28,20 +28,7 @@ func scanHosts(w *world.World, hosts []string, at scanner.Config) []scanner.Resu
 }
 
 func deltaOptions(w *world.World) resultset.Options {
-	rankOf := func(h string) (int, bool) {
-		for _, rh := range w.TopLists.TrancoGov {
-			if rh.Host == h {
-				return rh.Rank, true
-			}
-		}
-		return 0, false
-	}
-	return resultset.Options{
-		CountryOf:   w.CountryOf,
-		RankOf:      rankOf,
-		RankBuckets: rankBuckets,
-		RankMax:     w.TopLists.Max,
-	}
+	return resultset.Options{CountryOf: w.CountryOf}
 }
 
 // patchRows substitutes the changed rows into a copy of base, by

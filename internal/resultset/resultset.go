@@ -1,9 +1,9 @@
 // Package resultset wraps a scan's results with indexes built in one
 // deterministic pass: by Table 2 category and exception kind, by country,
-// by issuing CA, by certificate fingerprint and key identity, by hosting
-// provider and kind, and by top-list rank bucket — plus the cheap derived
-// counts (the Table 2 tallies, key/signature/version cells) every
-// experiment used to recompute with its own loop over the raw slice.
+// by issuing CA, by certificate fingerprint and key identity, and by
+// hosting provider and kind — plus the cheap derived counts (the Table 2
+// tallies, key/signature/version cells) every experiment used to
+// recompute with its own loop over the raw slice.
 //
 // A Set is built in one shot with New over a finished scan
 // (scanner.ScanAll), assembled in host order from already-scanned rows
@@ -37,7 +37,6 @@ import (
 	"repro/internal/cert"
 	"repro/internal/hosting"
 	"repro/internal/scanner"
-	"repro/internal/stats"
 )
 
 // Options configures the index build.
@@ -45,14 +44,6 @@ type Options struct {
 	// CountryOf attributes a hostname to a country; hosts mapping to ""
 	// are left out of the country index. Nil disables the country index.
 	CountryOf func(hostname string) string
-	// RankOf reports a hostname's public-top-list rank, when it has one.
-	// Nil disables the rank-bucket index.
-	RankOf func(hostname string) (int, bool)
-	// RankBuckets is the number of equal-width rank buckets (Figure 7
-	// uses 50); RankMax is the highest rank on the list. Both must be
-	// positive for the rank index to build.
-	RankBuckets int
-	RankMax     int
 }
 
 // Counts carries the Table 2 tallies derived during the build pass.
@@ -141,9 +132,6 @@ type Set struct {
 	invalidIdx     []int    // indices measured invalid https, ascending
 	invalidHosts   []string // hostnames of invalidIdx, same order
 	failedUpgrades []int    // valid https but full content still on http
-
-	ranked      []int
-	rankBuckets [][]int
 
 	hostKeyIdx  cellIndex[uint64] // (type,bits) numeric identity
 	sigAlgoIdx  cellIndex[int]    // signature algorithm enum
@@ -252,7 +240,6 @@ func (f *flatIndex) bucket(p int) []int {
 const (
 	flagInvalid = 1 << iota
 	flagFailedUpgrade
-	flagRanked
 	flagChained
 )
 
@@ -278,13 +265,11 @@ func build(results []scanner.Result, opts Options) *Set {
 	provP := make([]int32, n)
 	kindP := make([]int8, n)
 	issP := make([]int32, n)
-	rankB := make([]int16, n)
 	flags := make([]uint8, n)
 
 	// Key interning state, first-seen order, and per-bucket counts.
 	var catPos, excPos, kindPos, sigPos, verPos densePos
 	var catCount, excCount, kindCount, ccCount, provCount, issCount []int32
-	var rbCount []int32
 
 	var cats []scanner.Category
 	var excs []scanner.Exception
@@ -306,12 +291,7 @@ func build(results []scanner.Result, opts Options) *Set {
 	var sigKeys, verKeys []int
 	var combKeys []combKey
 
-	rankEnabled := opts.RankOf != nil && opts.RankBuckets > 0 && opts.RankMax > 0
-	if rankEnabled {
-		rbCount = make([]int32, opts.RankBuckets)
-	}
-
-	chainedN, invalidN, failedN, rankedN := 0, 0, 0, 0
+	chainedN, invalidN, failedN := 0, 0, 0
 
 	for i := range results {
 		r := &results[i]
@@ -498,18 +478,6 @@ func build(results []scanner.Result, opts Options) *Set {
 				s.smallRSAHosts++
 			}
 		}
-
-		rankB[i] = -1
-		if rankEnabled {
-			if rank, ok := opts.RankOf(r.Hostname); ok {
-				f |= flagRanked
-				rankedN++
-				if bkt, ok := rankBucket(rank, opts); ok {
-					rankB[i] = int16(bkt)
-					rbCount[bkt]++
-				}
-			}
-		}
 		flags[i] = f
 	}
 
@@ -520,16 +488,11 @@ func build(results []scanner.Result, opts Options) *Set {
 	provFlat := newFlatIndex(provCount)
 	kindFlat := newFlatIndex(kindCount)
 	issFlat := newFlatIndex(issCount)
-	var rbFlat *flatIndex
-	if rankEnabled {
-		rbFlat = newFlatIndex(rbCount)
-	}
 
 	s.chained = make([]int, 0, chainedN)
 	s.invalidIdx = make([]int, 0, invalidN)
 	s.invalidHosts = make([]string, 0, invalidN)
 	s.failedUpgrades = make([]int, 0, failedN)
-	s.ranked = make([]int, 0, rankedN)
 
 	for i := 0; i < n; i++ {
 		catFlat.put(int32(catP[i]), i)
@@ -557,12 +520,6 @@ func build(results []scanner.Result, opts Options) *Set {
 		if f&flagFailedUpgrade != 0 {
 			s.failedUpgrades = append(s.failedUpgrades, i)
 		}
-		if f&flagRanked != 0 {
-			s.ranked = append(s.ranked, i)
-			if b := rankB[i]; b >= 0 {
-				rbFlat.put(int32(b), i)
-			}
-		}
 	}
 
 	// Wrap the flat arrays and interning maps into the index families.
@@ -582,15 +539,6 @@ func build(results []scanner.Result, opts Options) *Set {
 	s.ccAggs = make(map[string]CountryAgg, len(ccs))
 	for p, cc := range ccs {
 		s.ccAggs[cc] = ccAgg[p]
-	}
-
-	if rankEnabled {
-		s.rankBuckets = make([][]int, opts.RankBuckets)
-		for b := range s.rankBuckets {
-			if rbCount[b] > 0 {
-				s.rankBuckets[b] = rbFlat.bucket(b)
-			}
-		}
 	}
 
 	s.hostKeyIdx = builtCells(hkKeys, hkPos, hostKeyCells, hkFirst)
@@ -677,13 +625,6 @@ func tallySigned(c *Counts, r *scanner.Result, cat scanner.Category, d int) {
 	if r.ServesHTTP && r.ServesHTTPS {
 		c.BothSchemes += d
 	}
-}
-
-// rankBucket maps a rank onto its Figure 7 bucket via stats.BucketIndex
-// over [1, RankMax+1), so bucket membership matches the binned rates bit
-// for bit.
-func rankBucket(rank int, opts Options) (int, bool) {
-	return stats.BucketIndex(float64(rank), 1, float64(opts.RankMax)+1, opts.RankBuckets)
 }
 
 // --- accessors ---
@@ -852,22 +793,6 @@ func (s *Set) InvalidHosts() []string { return s.invalidHosts }
 // FailedUpgrades returns the indices of hosts with valid https that still
 // serve full content over plain http without an upgrade (§5.1).
 func (s *Set) FailedUpgrades() []int { return s.failedUpgrades }
-
-// Ranked returns the indices of results carrying a top-list rank.
-func (s *Set) Ranked() []int { return s.ranked }
-
-// RankBuckets returns the rank-bucket index (nil when no ranker was
-// configured): bucket b holds the indices of ranked results in the b-th
-// equal-width bucket over [1, RankMax].
-func (s *Set) RankBuckets() [][]int { return s.rankBuckets }
-
-// RankOf reports a hostname's rank via the build options' ranker.
-func (s *Set) RankOf(hostname string) (int, bool) {
-	if s.opts.RankOf == nil {
-		return 0, false
-	}
-	return s.opts.RankOf(hostname)
-}
 
 // HostKeyCells returns per-host-key-type validity cells (first-seen).
 func (s *Set) HostKeyCells() []Cell { return s.hostKeyIdx.orderedCells() }

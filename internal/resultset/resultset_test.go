@@ -9,7 +9,6 @@ import (
 	"repro/internal/hosting"
 	"repro/internal/resultset"
 	"repro/internal/scanner"
-	"repro/internal/stats"
 	"repro/internal/world"
 )
 
@@ -19,23 +18,8 @@ var (
 	setCache  *resultset.Set
 )
 
-const rankBuckets = 50
-
 func testOptions() resultset.Options {
-	rankOf := func(h string) (int, bool) {
-		for _, rh := range testWorld.TopLists.TrancoGov {
-			if rh.Host == h {
-				return rh.Rank, true
-			}
-		}
-		return 0, false
-	}
-	return resultset.Options{
-		CountryOf:   testWorld.CountryOf,
-		RankOf:      rankOf,
-		RankBuckets: rankBuckets,
-		RankMax:     testWorld.TopLists.Max,
-	}
+	return resultset.Options{CountryOf: testWorld.CountryOf}
 }
 
 func raw(t *testing.T) []scanner.Result {
@@ -241,34 +225,6 @@ func TestChainIndexesMatchNaive(t *testing.T) {
 	}
 }
 
-func TestRankBucketsMatchBinning(t *testing.T) {
-	s := set(t)
-	buckets := s.RankBuckets()
-	if len(buckets) != rankBuckets {
-		t.Fatalf("buckets = %d, want %d", len(buckets), rankBuckets)
-	}
-	ranked := 0
-	for b, idxs := range buckets {
-		for _, i := range idxs {
-			rank, ok := s.RankOf(s.At(i).Hostname)
-			if !ok {
-				t.Fatalf("unranked host %q in bucket %d", s.At(i).Hostname, b)
-			}
-			wantB, ok := stats.BucketIndex(float64(rank), 1, float64(testWorld.TopLists.Max)+1, rankBuckets)
-			if !ok || wantB != b {
-				t.Fatalf("host rank %d in bucket %d, BucketIndex says %d", rank, b, wantB)
-			}
-			ranked++
-		}
-	}
-	if len(s.Ranked()) < ranked {
-		t.Errorf("Ranked = %d < bucketed %d", len(s.Ranked()), ranked)
-	}
-	if ranked == 0 {
-		t.Error("no ranked hosts; the world seeds a Tranco overlap")
-	}
-}
-
 func TestInvalidHostsInInputOrder(t *testing.T) {
 	s, rs := set(t), raw(t)
 	var want []string
@@ -439,12 +395,6 @@ func assertSetsEqual(t *testing.T, got, want *resultset.Set) {
 	}
 	if !reflect.DeepEqual(got.FailedUpgrades(), want.FailedUpgrades()) {
 		t.Errorf("FailedUpgrades diverge")
-	}
-	if !reflect.DeepEqual(got.Ranked(), want.Ranked()) {
-		t.Errorf("Ranked diverges")
-	}
-	if !reflect.DeepEqual(got.RankBuckets(), want.RankBuckets()) {
-		t.Errorf("RankBuckets diverge")
 	}
 	if !reflect.DeepEqual(got.HostKeyCells(), want.HostKeyCells()) {
 		t.Errorf("host-key cells diverge")

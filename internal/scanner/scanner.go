@@ -86,10 +86,6 @@ type Config struct {
 	BackoffMax time.Duration
 	// Seed drives the deterministic backoff jitter.
 	Seed int64
-	// HostBudget caps the (simulated) time charged to one port of one
-	// host across retries — timed-out attempts plus backoff waits. Zero
-	// means unlimited, mirroring the paper's plain 3-retry policy.
-	HostBudget time.Duration
 	// Breaker, when non-nil, stops hammering a hosting provider after
 	// repeated consecutive dial timeouts; affected hosts record
 	// ExcCircuitOpen.
@@ -432,7 +428,6 @@ var ErrCircuitOpen = errors.New("scanner: circuit breaker open")
 // endpoint's provider, the dial is skipped with ErrCircuitOpen.
 func (s *Scanner) dialRetry(ctx context.Context, ep netip.AddrPort, res *Result, key string) (net.Conn, error) {
 	var lastErr error
-	var spent time.Duration
 	attempts := 1 + s.Cfg.Retries
 	for i := 0; i < attempts; i++ {
 		if s.Cfg.Breaker != nil && !s.Cfg.Breaker.Allow(key) {
@@ -491,15 +486,7 @@ func (s *Scanner) dialRetry(ctx context.Context, ep netip.AddrPort, res *Result,
 		if i+1 == attempts {
 			break
 		}
-		delay := s.backoff(ep, i)
-		if simnet.IsTimeout(err) {
-			spent += s.Cfg.Timeout
-		}
-		spent += delay
-		if s.Cfg.HostBudget > 0 && spent > s.Cfg.HostBudget {
-			break
-		}
-		if delay > 0 {
+		if delay := s.backoff(ep, i); delay > 0 {
 			if err := s.Cfg.Clock.Sleep(ctx, delay); err != nil {
 				return nil, err
 			}

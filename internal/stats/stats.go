@@ -1,13 +1,12 @@
 // Package stats provides the statistical machinery of the analysis: simple
-// linear regression with confidence bands (Figure 7), rank binning, rank-
-// matched stratified sampling (§5.5) and descriptive summaries.
+// linear regression (Figure 7), rank binning, rank-matched stratified
+// sampling (§5.5) and descriptive summaries.
 package stats
 
 import (
 	"errors"
 	"math"
 	"math/rand"
-	"sort"
 )
 
 // ErrInsufficientData is returned when an estimator needs more points.
@@ -22,8 +21,6 @@ type Linear struct {
 	// StdErrSlope is the standard error of the slope estimate.
 	StdErrSlope float64
 	N           int
-
-	meanX, sxx, s2 float64
 }
 
 // FitLinear fits ordinary least squares to the points.
@@ -69,24 +66,7 @@ func FitLinear(x, y []float64) (Linear, error) {
 		R2:          r2,
 		StdErrSlope: math.Sqrt(s2 / sxx),
 		N:           n,
-		meanX:       meanX,
-		sxx:         sxx,
-		s2:          s2,
 	}, nil
-}
-
-// Predict evaluates the fitted line at x.
-func (l Linear) Predict(x float64) float64 { return l.Intercept + l.Slope*x }
-
-// ConfidenceBand returns the half-width of the ~95% confidence interval for
-// the mean response at x (normal approximation, z=1.96).
-func (l Linear) ConfidenceBand(x float64) float64 {
-	if l.N < 3 {
-		return 0
-	}
-	dx := x - l.meanX
-	se := math.Sqrt(l.s2 * (1/float64(l.N) + dx*dx/l.sxx))
-	return 1.96 * se
 }
 
 // Bin is one rank bucket with an aggregated rate.
@@ -99,21 +79,6 @@ type Bin struct {
 	Count int
 	// Rate is the mean of the y values (e.g. share of valid https).
 	Rate float64
-}
-
-// BucketIndex maps x onto its equal-width bucket over [lo, hi): the
-// bucket arithmetic of BinRate, exported so index structures (the
-// resultset rank index) bucket observations bit-identically to the
-// binned-rate figures. Returns false when x falls outside [lo, hi).
-func BucketIndex(x, lo, hi float64, n int) (int, bool) {
-	if n <= 0 || hi <= lo || x < lo || x >= hi {
-		return 0, false
-	}
-	b := int((x - lo) / ((hi - lo) / float64(n)))
-	if b >= n {
-		b = n - 1
-	}
-	return b, true
 }
 
 // BinRate groups (x, ok) observations into n equal-width buckets over
@@ -133,9 +98,12 @@ func BinRate(xs []float64, oks []bool, n int, lo, hi float64) []Bin {
 		bins[i].Center = bins[i].Lo + width/2
 	}
 	for i, x := range xs {
-		b, ok := BucketIndex(x, lo, hi, n)
-		if !ok {
+		if x < lo || x >= hi {
 			continue
+		}
+		b := int((x - lo) / width)
+		if b >= n {
+			b = n - 1
 		}
 		counts[b]++
 		if oks[i] {
@@ -238,28 +206,4 @@ func RankMatched[T any](r *rand.Rand, reference []int, candidates []T, rankOf fu
 		out = append(out, SampleUniform(r, byBucket[b], want[b])...)
 	}
 	return out
-}
-
-// Percentile returns the p-th percentile (0..100) of xs using linear
-// interpolation; xs need not be sorted.
-func Percentile(xs []float64, p float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrInsufficientData
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0], nil
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1], nil
-	}
-	pos := p / 100 * float64(len(sorted)-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= len(sorted) {
-		return sorted[lo], nil
-	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac, nil
 }

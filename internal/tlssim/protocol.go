@@ -7,8 +7,7 @@
 //
 // The wire format mirrors TLS's record structure but is not interoperable
 // with real TLS; interoperability is not needed because both endpoints live
-// in the simulated network. internal/tlsprobe exercises the same scanning
-// machinery against genuine crypto/tls for validation.
+// in the simulated network.
 package tlssim
 
 import (

@@ -41,11 +41,6 @@ func (s *Store) AddRoot(root *cert.Certificate, owner string) {
 	}
 }
 
-// RemoveRoot distrusts a root (e.g. the NPKI removals, §6.3).
-func (s *Store) RemoveRoot(root *cert.Certificate) {
-	delete(s.byKey, root.PublicKey.ID)
-}
-
 // TrustEVPolicy registers a policy OID as a trusted EV policy, mirroring
 // Mozilla's certverifier ExtendedValidation list (§5.3).
 func (s *Store) TrustEVPolicy(oid string) { s.evPolic[oid] = true }

@@ -88,13 +88,6 @@ func (w *World) ChangeTail(cursor int) ([]Change, int) {
 	return out, n
 }
 
-// ChangeCount returns the number of events recorded so far.
-func (w *World) ChangeCount() int {
-	w.changes.mu.RLock()
-	defer w.changes.mu.RUnlock()
-	return len(w.changes.log)
-}
-
 // ChurnTick applies one observatory tick's worth of background churn to
 // the government estate, deterministically from the caller's RNG: up to
 // n distinct hosts are drawn; https hosts rotate to a freshly issued

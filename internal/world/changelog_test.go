@@ -8,9 +8,6 @@ import (
 
 func TestChangeTailCursor(t *testing.T) {
 	w := MustBuild(Config{Seed: 21, Scale: 0.005})
-	if n := w.ChangeCount(); n != 0 {
-		t.Fatalf("fresh world has %d change events", n)
-	}
 	events, cursor := w.ChangeTail(0)
 	if len(events) != 0 || cursor != 0 {
 		t.Fatalf("fresh tail = %d events, cursor %d", len(events), cursor)

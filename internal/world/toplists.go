@@ -161,9 +161,6 @@ func (t *TopLists) GovCountWithin(list string, topK int) int {
 	return n
 }
 
-// IsGovRank reports whether the Tranco rank belongs to a government site.
-func (t *TopLists) IsGovRank(rank int) bool { return t.trancoRankSet[rank] }
-
 // nonGovRNG recycles NonGov's generators. Re-seeding a *rand.Rand yields
 // exactly the draws of a fresh rand.New(rand.NewSource(seed)), without
 // allocating and warming up a new ~4.9 KB source on every call.

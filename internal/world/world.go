@@ -27,7 +27,6 @@ import (
 	"repro/internal/simnet"
 	"repro/internal/tlssim"
 	"repro/internal/truststore"
-	"repro/internal/whois"
 )
 
 // Serving describes what a site answers on ports 80/443.
@@ -134,9 +133,6 @@ type World struct {
 	USA *USAData
 	// ROK holds the South Korea case-study dataset (§6.2, Appendix A.2).
 	ROK *ROKData
-	// Whois is the registrar directory service (§7.2), listening on
-	// WhoisAddr.
-	Whois *whois.Server
 	// CT is the certificate-transparency log covering most CA-issued
 	// certificates (§2.2).
 	CT *ctlog.Log
@@ -218,7 +214,6 @@ func Build(cfg Config) (*World, error) {
 	w.buildUSA(rand.New(rand.NewSource(root.Int63())))
 	w.buildROK(rand.New(rand.NewSource(root.Int63())))
 	w.buildCT(rand.New(rand.NewSource(root.Int63())))
-	w.buildWhois()
 	w.buildFirewall()
 	w.serveAll()
 	w.injectTransientFaults()

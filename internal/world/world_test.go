@@ -244,7 +244,7 @@ func TestNonGovDeterministic(t *testing.T) {
 	// Validity declines with rank in aggregate.
 	countValid := func(lo, hi int) (valid, n int) {
 		for rank := lo; rank < hi; rank++ {
-			if tl.IsGovRank(rank) {
+			if tl.trancoRankSet[rank] {
 				continue
 			}
 			a := tl.NonGov(rank)
@@ -629,19 +629,5 @@ func TestCTLogPopulated(t *testing.T) {
 			}
 			break
 		}
-	}
-}
-
-func TestWhoisWired(t *testing.T) {
-	w := testWorld
-	if w.Whois == nil {
-		t.Fatal("whois server missing")
-	}
-	rec, err := w.Whois.Lookup("health.gov.br")
-	if err != nil || rec.Country != "br" {
-		t.Errorf("whois lookup = %+v, %v", rec, err)
-	}
-	if !w.Net.HasEndpoint(WhoisAddr) {
-		t.Error("whois endpoint not served")
 	}
 }
