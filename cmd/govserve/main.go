@@ -17,10 +17,14 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net/http"
 	"os"
+	"os/signal"
+	"syscall"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/serve"
@@ -67,8 +71,51 @@ func main() {
 	for _, name := range study.DatasetNames() {
 		fmt.Printf("  dataset %s\n", name)
 	}
-	if err := http.ListenAndServe(*addr, srv.Handler()); err != nil {
+	if err := listen(*addr, srv.Handler()); err != nil {
 		fmt.Fprintln(os.Stderr, "govserve:", err)
 		os.Exit(1)
 	}
+}
+
+// Server limits. A client gets readHeaderTimeout to send its request
+// headers and idleTimeout between requests on a kept-alive connection,
+// and a request's headers may take at most maxHeaderBytes. There is no
+// WriteTimeout: exports stream the whole corpus, however long a slow
+// reader takes, and a write deadline would cut them off mid-stream.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+	maxHeaderBytes    = 64 << 10
+	drainTimeout      = 30 * time.Second
+)
+
+// listen serves h on addr until SIGINT or SIGTERM, then stops accepting
+// and waits up to drainTimeout for in-flight requests to finish.
+func listen(addr string, h http.Handler) error {
+	srv := &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
+	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	errc := make(chan error, 1)
+	go func() { errc <- srv.ListenAndServe() }()
+	select {
+	case err := <-errc:
+		return err
+	case <-ctx.Done():
+	}
+	fmt.Fprintln(os.Stderr, "govserve: draining")
+	dctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
+	defer cancel()
+	if err := srv.Shutdown(dctx); err != nil {
+		return fmt.Errorf("shutdown: %w", err)
+	}
+	if err := <-errc; !errors.Is(err, http.ErrServerClosed) {
+		return err
+	}
+	return nil
 }

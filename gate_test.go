@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/observatory"
 	"repro/internal/resultset"
 	"repro/internal/scanner"
 	"repro/internal/serve/loadgen"
@@ -54,6 +55,12 @@ const (
 	// the hosts remediation changed (and hosts behind transient faults)
 	// cost 41,445.
 	suiteDialsBudget = 50000
+	// observatoryRetentionBudget bounds the live-heap growth of one
+	// observatory run per rescanned host, in KB, between the two designs
+	// measured when the gate was set over 18,808 rescans: rescans through
+	// process-lifetime verify and chain caches retained 1.87 KB per
+	// rescan, cache-free rescans 0.72 KB.
+	observatoryRetentionBudget = 1.2
 )
 
 func skipUnderRace(t *testing.T) {
@@ -202,4 +209,46 @@ func TestGateSuiteDials(t *testing.T) {
 	if dials[0] > suiteDialsBudget {
 		t.Errorf("experiment suite made %d simnet dials (budget %d)", dials[0], suiteDialsBudget)
 	}
+}
+
+// TestGateObservatoryRetention bounds what a long observatory run keeps
+// alive: the live heap after Run, less the live heap before it, per
+// rescanned host. Memory must follow the corpus, not the horizon.
+func TestGateObservatoryRetention(t *testing.T) {
+	skipUnderRace(t)
+	ctx := context.Background()
+	w := world.MustBuild(world.TestConfig())
+	sc := scanner.New(w.Net, w.DNS, w.Class, scanner.DefaultConfig(w.Stores["apple"], w.ScanTime))
+	base := resultset.New(sc.ScanAll(ctx, w.GovHosts), resultset.Options{CountryOf: w.CountryOf})
+	o := observatory.New(w, base, observatory.Config{
+		Seed:         1,
+		Horizon:      240 * 24 * time.Hour,
+		Tick:         12 * time.Hour,
+		ChurnPerTick: 100,
+	})
+	before := liveHeap()
+	rep, err := o.Run(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := liveHeap()
+	runtime.KeepAlive(o)
+	rescans := rep.TotalScanned()
+	if rescans == 0 {
+		t.Fatal("observatory rescanned nothing")
+	}
+	perHost := (float64(after) - float64(before)) / 1e3 / float64(rescans)
+	t.Logf("observatory: live heap %.1f -> %.1f MB over %d rescans = %.2f KB per rescan (budget %.1f)",
+		float64(before)/1e6, float64(after)/1e6, rescans, perHost, observatoryRetentionBudget)
+	if perHost > observatoryRetentionBudget {
+		t.Errorf("observatory retains %.2f KB per rescanned host (budget %.1f)", perHost, observatoryRetentionBudget)
+	}
+}
+
+// liveHeap returns the bytes of live heap objects after a collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
 }

@@ -101,13 +101,36 @@ func (c *Client) finalize(ctx context.Context, orderID string) ([]*cert.Certific
 // post sends one API request on a kept-alive connection and returns a
 // 200 response; any other status comes back as the typed problem error. A
 // transport error or a Connection: close answer discards the connection;
-// otherwise it goes back to the idle set for the next call.
+// otherwise it goes back to the idle set for the next call. A write that
+// fails on an idle connection means the CA closed it while it sat idle:
+// the request never left, so it is sent once more on a fresh dial. A
+// failure while reading the response fails the call, because the CA may
+// have acted on the request.
 func (c *Client) post(ctx context.Context, path string, body []byte) (*httpsim.Response, error) {
-	ac, err := c.take(ctx)
-	if err != nil {
+	req := httpsim.Request{Method: "POST", Host: c.ServerName, Path: path, ContentType: "application/json", Body: body}
+	// A cancelled ctx fails the call even when an idle connection could
+	// carry it, as the dial would.
+	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("acme: dialing CA: %w", err)
 	}
-	resp, err := httpsim.Post(ac.conn, ac.br, c.ServerName, path, "application/json", body)
+	ac := c.takeIdle()
+	if ac != nil && req.Write(ac.conn) != nil {
+		// Closed while idle: nothing was sent, so resend on a fresh dial.
+		ac.conn.Close()
+		ac = nil
+	}
+	if ac == nil {
+		conn, err := c.Net.Dial(ctx, c.Vantage, c.Server)
+		if err != nil {
+			return nil, fmt.Errorf("acme: dialing CA: %w", err)
+		}
+		ac = &apiConn{conn: conn, br: bufio.NewReader(conn)}
+		if err := req.Write(ac.conn); err != nil {
+			ac.conn.Close()
+			return nil, fmt.Errorf("acme: %s: %w", path, err)
+		}
+	}
+	resp, err := httpsim.ReadResponse(ac.br)
 	if err != nil {
 		ac.conn.Close()
 		return nil, fmt.Errorf("acme: %s: %w", path, err)
@@ -127,26 +150,18 @@ func (c *Client) post(ctx context.Context, path string, body []byte) (*httpsim.R
 	return resp, nil
 }
 
-// take returns an idle API connection, or dials a new one. A cancelled
-// ctx fails the call either way, as the dial would.
-func (c *Client) take(ctx context.Context) (*apiConn, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
+// takeIdle returns an idle API connection, or nil when there is none.
+func (c *Client) takeIdle() *apiConn {
 	c.mu.Lock()
-	if n := len(c.idle); n > 0 {
-		ac := c.idle[n-1]
-		c.idle[n-1] = nil
-		c.idle = c.idle[:n-1]
-		c.mu.Unlock()
-		return ac, nil
+	defer c.mu.Unlock()
+	n := len(c.idle)
+	if n == 0 {
+		return nil
 	}
-	c.mu.Unlock()
-	conn, err := c.Net.Dial(ctx, c.Vantage, c.Server)
-	if err != nil {
-		return nil, err
-	}
-	return &apiConn{conn: conn, br: bufio.NewReader(conn)}, nil
+	ac := c.idle[n-1]
+	c.idle[n-1] = nil
+	c.idle = c.idle[:n-1]
+	return ac
 }
 
 // CloseIdle closes every idle API connection; the server's handler for

@@ -108,15 +108,18 @@ func TestClientReusesConnection(t *testing.T) {
 	}
 }
 
-// TestClientRedialsAfterClose: a response announcing Connection: close
-// retires its connection, so every API request of an order dials anew.
-func TestClientRedialsAfterClose(t *testing.T) {
-	h := newHarness(t)
-	dials := countDials(h)
-	h.addSite(t, "portal.gov.br", "190.10.0.1")
-	// A front that answers each request through the real CA, then closes.
+// closingFront answers each API connection's first request through the
+// real CA and then closes the connection. With announce the answer says
+// Connection: close; without it the close comes unannounced, and each
+// close is reported on closed once it has happened.
+func closingFront(h *harness, announce bool, closed chan<- struct{}) {
 	h.net.Handle(acmeAPI, func(conn net.Conn) {
-		defer conn.Close()
+		defer func() {
+			conn.Close()
+			if closed != nil {
+				closed <- struct{}{}
+			}
+		}()
 		req, err := httpsim.ReadRequestConn(conn)
 		if err != nil {
 			return
@@ -128,8 +131,17 @@ func TestClientRedialsAfterClose(t *testing.T) {
 		if err != nil {
 			return
 		}
-		httpsim.WriteResponse(conn, resp.StatusCode, httpsim.Header{ContentType: resp.ContentType, Close: true}, resp.Body)
+		httpsim.WriteResponse(conn, resp.StatusCode, httpsim.Header{ContentType: resp.ContentType, Close: announce}, resp.Body)
 	})
+}
+
+// TestClientRedialsAfterClose: a response announcing Connection: close
+// retires its connection, so every API request of an order dials anew.
+func TestClientRedialsAfterClose(t *testing.T) {
+	h := newHarness(t)
+	dials := countDials(h)
+	h.addSite(t, "portal.gov.br", "190.10.0.1")
+	closingFront(h, true, nil)
 	for i := 0; i < 2; i++ {
 		if _, err := h.client.Obtain(context.Background(), []string{"portal.gov.br"}, h.key(2048)); err != nil {
 			t.Fatal(err)
@@ -140,20 +152,49 @@ func TestClientRedialsAfterClose(t *testing.T) {
 	}
 }
 
+// TestClientResendsAfterIdleClose: a CA that closes each connection after
+// its response without announcing it leaves the client an idle connection
+// it can no longer write on. The request never left, so the client sends
+// it again on a fresh dial and every order succeeds.
+func TestClientResendsAfterIdleClose(t *testing.T) {
+	h := newHarness(t)
+	dials := countDials(h)
+	h.addSite(t, "portal.gov.br", "190.10.0.1")
+	closed := make(chan struct{}, 4)
+	closingFront(h, false, closed)
+	// Waiting for each close before the next request makes every request
+	// after the first meet an idle connection the CA already closed.
+	h.client.Provision = func(hostname, token string) error {
+		<-closed
+		return h.provision(hostname, token)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := h.client.Obtain(context.Background(), []string{"portal.gov.br"}, h.key(2048)); err != nil {
+			t.Fatalf("order %d behind a CA that closes idle connections: %v", i, err)
+		}
+		<-closed
+	}
+	if n := dials.n.Load(); n != 4 {
+		t.Errorf("two orders took %d API dials, want 4 (one per request)", n)
+	}
+}
+
 // TestClientRedialsAfterTransportError: a kept-alive connection that
-// breaks fails the request on it and is discarded; the next request
-// dials a fresh one.
+// breaks while the client reads the response fails the request on it,
+// because the CA may have acted on it, and is discarded; the next
+// request dials a fresh one.
 func TestClientRedialsAfterTransportError(t *testing.T) {
 	h := newHarness(t)
 	dials := countDials(h)
 	h.addSite(t, "portal.gov.br", "190.10.0.1")
 	var mu sync.Mutex
-	var serverEnds []net.Conn
-	h.net.Handle(acmeAPI, func(conn net.Conn) {
+	var clientEnds []net.Conn
+	h.client.Net = dialFunc(func(ctx context.Context, from string, ep netip.AddrPort) (net.Conn, error) {
+		conn, err := dials.Dial(ctx, from, ep)
 		mu.Lock()
-		serverEnds = append(serverEnds, conn)
+		clientEnds = append(clientEnds, conn)
 		mu.Unlock()
-		h.server.Handle(conn)
+		return conn, err
 	})
 	obtain := func() ([]*cert.Certificate, error) {
 		return h.client.Obtain(context.Background(), []string{"portal.gov.br"}, h.key(2048))
@@ -162,10 +203,10 @@ func TestClientRedialsAfterTransportError(t *testing.T) {
 		t.Fatal(err)
 	}
 	mu.Lock()
-	serverEnds[0].Close() // the idle connection breaks under the client
+	clientEnds[0].(*simnet.Conn).ResetInbound() // requests still go out; answers are lost
 	mu.Unlock()
 	if _, err := obtain(); err == nil {
-		t.Fatal("an order on a broken connection succeeded")
+		t.Fatal("an order whose response was lost succeeded")
 	}
 	if _, err := obtain(); err != nil {
 		t.Fatalf("the order after a transport error: %v", err)
@@ -173,4 +214,11 @@ func TestClientRedialsAfterTransportError(t *testing.T) {
 	if n := dials.n.Load(); n != 2 {
 		t.Errorf("%d API dials, want 2 (one before the break, one after)", n)
 	}
+}
+
+// dialFunc adapts a function to acme.Dialer.
+type dialFunc func(ctx context.Context, from string, ep netip.AddrPort) (net.Conn, error)
+
+func (f dialFunc) Dial(ctx context.Context, from string, ep netip.AddrPort) (net.Conn, error) {
+	return f(ctx, from, ep)
 }

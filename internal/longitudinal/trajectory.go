@@ -32,23 +32,15 @@ func (p Point) ValidShare() float64 {
 }
 
 // Tally reduces an indexed scan straight to one sample of the adoption
-// curve — the same per-host classification as Capture, counted without
-// building the hostname map.
+// curve: the same per-host classification as Capture, read from the
+// set's maintained Table 2 counts instead of a walk over its rows. The
+// two partitions agree because the scanner records a chain only after a
+// completed handshake, which sets AttemptsHTTPS and leaves ExcNone: Gone
+// is Unavailable, Valid is the valid category, HTTPOnly is HTTP-only,
+// and Broken is every other category — Counts.Invalid.
 func Tally(taken time.Time, set *resultset.Set) Point {
-	p := Point{Taken: taken}
-	for i := 0; i < set.Len(); i++ {
-		switch stateOf(set.At(i)) {
-		case Gone:
-			p.Gone++
-		case HTTPOnly:
-			p.HTTPOnly++
-		case BrokenHTTPS:
-			p.Broken++
-		case ValidHTTPS:
-			p.Valid++
-		}
-	}
-	return p
+	c := set.Counts()
+	return Point{Taken: taken, Gone: c.Unavailable, HTTPOnly: c.HTTPOnly, Broken: c.Invalid, Valid: c.Valid}
 }
 
 // Trajectory is the adoption curve, one Point per sample in sample order —

@@ -158,6 +158,12 @@ func New(w *world.World, set *resultset.Set, cfg Config) *Observatory {
 	}
 	o.scanCfg.Concurrency = cfg.Workers
 	o.scanCfg.Seed = cfg.Seed
+	// Rescans run without the scan caches. A verify entry is keyed by the
+	// tick's scan time, so it can only hit within one tick's small batch,
+	// and a rescan rarely presents a chain parsed earlier; both caches
+	// would hold every chain for the life of the process.
+	o.scanCfg.VerifyCache = nil
+	o.scanCfg.ChainCache = nil
 	_, o.ctCursor = w.CT.TailFrom(1 << 62)
 	_, o.changeCursor = w.ChangeTail(1 << 62)
 	for i := 0; i < set.Len(); i++ {

@@ -98,15 +98,13 @@ func (s *Set) ApplyDelta(changed []scanner.Result) (*Set, error) {
 	ns.byHost = s.byHost
 	ns.ccIdx = s.ccIdx
 	ns.countries = s.countries
+	ns.ccRow = s.ccRow
 
 	ns.counts = s.counts
 	ns.issuerDomain = s.issuerDomain
 	ns.weakSigHosts = s.weakSigHosts
 	ns.smallRSAHosts = s.smallRSAHosts
-	ns.ccAggs = make(map[string]CountryAgg, len(s.countries))
-	for _, cc := range s.countries {
-		ns.ccAggs[cc] = s.ccAggs[cc]
-	}
+	ns.ccAggs = append([]CountryAgg(nil), s.ccAggs...)
 
 	var catOps, excOps, provOps, kindOps, issOps deltaOps
 	var chainOps, invOps, failOps listOps
@@ -135,13 +133,10 @@ func (s *Set) ApplyDelta(changed []scanner.Result) (*Set, error) {
 			}
 		}
 
-		if s.opts.CountryOf != nil {
-			if cc := s.opts.CountryOf(or.Hostname); cc != "" {
-				agg := ns.ccAggs[cc]
-				aggAdjust(&agg, or, -1)
-				aggAdjust(&agg, nr, 1)
-				ns.ccAggs[cc] = agg
-			}
+		if p := s.ccRow[i]; p >= 0 {
+			agg := &ns.ccAggs[p]
+			aggAdjust(agg, or, -1)
+			aggAdjust(agg, nr, 1)
 		}
 
 		if or.Available != nr.Available || (or.Available && or.Provider != nr.Provider) {
@@ -234,16 +229,7 @@ func (s *Set) ApplyDelta(changed []scanner.Result) (*Set, error) {
 
 	ns.chained = chainOps.splice(s.chained)
 	ns.failedUpgrades = failOps.splice(s.failedUpgrades)
-	if invOps.empty() {
-		ns.invalidIdx = s.invalidIdx
-		ns.invalidHosts = s.invalidHosts
-	} else {
-		ns.invalidIdx = invOps.splice(s.invalidIdx)
-		ns.invalidHosts = make([]string, len(ns.invalidIdx))
-		for j, idx := range ns.invalidIdx {
-			ns.invalidHosts[j] = ns.At(idx).Hostname
-		}
-	}
+	ns.invalidIdx = invOps.splice(s.invalidIdx)
 
 	ns.hostKeyIdx = applyCellDelta(s.hostKeyIdx, s.At, ns.At, n, idxs, hostKeyContrib, hostKeyLabel)
 	ns.sigAlgoIdx = applyCellDelta(s.sigAlgoIdx, s.At, ns.At, n, idxs, sigAlgoContrib, sigAlgoLabel)

@@ -125,13 +125,22 @@ type Set struct {
 	fpIdx    index[[32]byte]
 	kidIdx   index[cert.KeyID]
 
-	countries []string // sorted at build
-	ccAggs    map[string]CountryAgg
+	// countries and ccAggs are in sorted country order; ccRow holds each
+	// row's position in them (-1: unattributed). A delta never changes
+	// the host list, so countries and ccRow are shared by every
+	// generation of a chain.
+	countries []string
+	ccAggs    []CountryAgg
+	ccRow     []int32
 
-	chained        []int    // indices with a retrieved chain
-	invalidIdx     []int    // indices measured invalid https, ascending
-	invalidHosts   []string // hostnames of invalidIdx, same order
-	failedUpgrades []int    // valid https but full content still on http
+	chained        []int // indices with a retrieved chain
+	invalidIdx     []int // indices measured invalid https, ascending
+	failedUpgrades []int // valid https but full content still on http
+
+	// invalidHosts lists the hostnames of invalidIdx, derived on the
+	// first InvalidHosts call: only notification and remediation read it.
+	invalidOnce  sync.Once
+	invalidHosts []string
 
 	hostKeyIdx  cellIndex[uint64] // (type,bits) numeric identity
 	sigAlgoIdx  cellIndex[int]    // signature algorithm enum
@@ -491,7 +500,6 @@ func build(results []scanner.Result, opts Options) *Set {
 
 	s.chained = make([]int, 0, chainedN)
 	s.invalidIdx = make([]int, 0, invalidN)
-	s.invalidHosts = make([]string, 0, invalidN)
 	s.failedUpgrades = make([]int, 0, failedN)
 
 	for i := 0; i < n; i++ {
@@ -515,7 +523,6 @@ func build(results []scanner.Result, opts Options) *Set {
 		}
 		if f&flagInvalid != 0 {
 			s.invalidIdx = append(s.invalidIdx, i)
-			s.invalidHosts = append(s.invalidHosts, results[i].Hostname)
 		}
 		if f&flagFailedUpgrade != 0 {
 			s.failedUpgrades = append(s.failedUpgrades, i)
@@ -533,13 +540,27 @@ func build(results []scanner.Result, opts Options) *Set {
 	s.issIdx = builtIndex(isss, issPos, issFlat)
 
 	// Countries sort; the intern table keeps slot (first-seen) order, so
-	// the sorted public list must be a copy.
-	s.countries = append([]string(nil), ccs...)
-	sort.Strings(s.countries)
-	s.ccAggs = make(map[string]CountryAgg, len(ccs))
-	for p, cc := range ccs {
-		s.ccAggs[cc] = ccAgg[p]
+	// the public list and the aggregates are laid out by sorted position,
+	// and each row's slot is rewritten to that position.
+	byName := make([]int32, len(ccs))
+	for p := range byName {
+		byName[p] = int32(p)
 	}
+	sort.Slice(byName, func(a, b int) bool { return ccs[byName[a]] < ccs[byName[b]] })
+	rank := make([]int32, len(ccs))
+	s.countries = make([]string, len(ccs))
+	s.ccAggs = make([]CountryAgg, len(ccs))
+	for k, p := range byName {
+		rank[p] = int32(k)
+		s.countries[k] = ccs[p]
+		s.ccAggs[k] = ccAgg[p]
+	}
+	for i, p := range ccP {
+		if p >= 0 {
+			ccP[i] = rank[p]
+		}
+	}
+	s.ccRow = ccP
 
 	s.hostKeyIdx = builtCells(hkKeys, hkPos, hostKeyCells, hkFirst)
 	s.sigAlgoIdx = builtCells(sigKeys, nil, sigAlgoCells, sigFirst)
@@ -731,10 +752,8 @@ func (s *Set) ByCountry(cc string) []int { return s.ccIdx.bucket(cc) }
 
 // CountryAggs returns per-country availability tallies, sorted by country.
 func (s *Set) CountryAggs() []CountryAgg {
-	out := make([]CountryAgg, len(s.countries))
-	for i, cc := range s.countries {
-		out[i] = s.ccAggs[cc]
-	}
+	out := make([]CountryAgg, len(s.ccAggs))
+	copy(out, s.ccAggs)
 	return out
 }
 
@@ -788,7 +807,15 @@ func (s *Set) ByKind(k hosting.Kind) []int { return s.kindIdx.bucket(k) }
 func (s *Set) Chained() []int { return s.chained }
 
 // InvalidHosts lists hostnames measured invalid https, in input order.
-func (s *Set) InvalidHosts() []string { return s.invalidHosts }
+func (s *Set) InvalidHosts() []string {
+	s.invalidOnce.Do(func() {
+		s.invalidHosts = make([]string, len(s.invalidIdx))
+		for j, i := range s.invalidIdx {
+			s.invalidHosts[j] = s.At(i).Hostname
+		}
+	})
+	return s.invalidHosts
+}
 
 // FailedUpgrades returns the indices of hosts with valid https that still
 // serve full content over plain http without an upgrade (§5.1).

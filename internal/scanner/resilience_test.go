@@ -66,6 +66,7 @@ func TestFaultClassificationMatrix(t *testing.T) {
 			testWorld.Net.SetFaultSpec(ep, row.spec)
 			defer testWorld.Net.SetFaultSpec(ep, simnet.FaultSpec{})
 			r := s.Scan(context.Background(), site.Hostname)
+			checkChainInvariant(t, row.name, &r)
 			if r.Exception != row.wantExc {
 				t.Errorf("exception = %v (%q), want %v", r.Exception, r.ExceptionDetail, row.wantExc)
 			}
@@ -84,6 +85,47 @@ func TestFaultClassificationMatrix(t *testing.T) {
 				t.Error("recovered flaky host did not serve https")
 			}
 		})
+	}
+}
+
+// checkChainInvariant asserts the invariant longitudinal.Tally relies on
+// to read its states from the Table 2 counts: a result carries a chain
+// only after a completed handshake, so it also attempts https, carries
+// no exception and is available.
+func checkChainInvariant(t *testing.T, what string, r *Result) {
+	t.Helper()
+	if len(r.Chain) > 0 && (!r.AttemptsHTTPS || r.Exception != ExcNone || !r.Available) {
+		t.Fatalf("%s: %q has a chain but AttemptsHTTPS=%v Exception=%v Available=%v",
+			what, r.Hostname, r.AttemptsHTTPS, r.Exception, r.Available)
+	}
+}
+
+// TestChainImpliesCompletedHandshake checks checkChainInvariant over the
+// corpus and over one host whose 443 stream is cut at every byte offset
+// until the exchange completes (TestFaultClassificationMatrix checks it
+// under the other fault modes).
+func TestChainImpliesCompletedHandshake(t *testing.T) {
+	results := scanAllOnce(t)
+	for i := range results {
+		checkChainInvariant(t, "corpus", &results[i])
+	}
+
+	site := findHealthySite(t)
+	ep := netip.AddrPortFrom(site.IP, 443)
+	defer testWorld.Net.SetFaultSpec(ep, simnet.FaultSpec{})
+	s := testScanner()
+	chained := false
+	for n := 0; n < 1<<16; n++ {
+		testWorld.Net.SetFaultSpec(ep, simnet.FaultSpec{Mode: simnet.FaultTruncate, TruncateBytes: n})
+		r := s.Scan(context.Background(), site.Hostname)
+		checkChainInvariant(t, fmt.Sprintf("443 truncated after %d bytes", n), &r)
+		chained = chained || len(r.Chain) > 0
+		if r.ServesHTTPS {
+			break
+		}
+	}
+	if !chained {
+		t.Fatal("no truncation let the handshake complete")
 	}
 }
 

@@ -96,10 +96,14 @@ type Config struct {
 	// VerifyCache, when non-nil, memoizes the chain-structural half of
 	// verification across hosts that present the same chain (the long tail
 	// of shared wildcards and internal CAs). Scan results are identical
-	// with and without it.
+	// with and without it. Entries are keyed by the scan time (Now) too,
+	// so an entry only hits for scans at that same instant. The cache is
+	// unbounded and lives as long as the process holds it.
 	VerifyCache *verify.Cache
 	// ChainCache, when non-nil, deduplicates parsed certificate chains
-	// across handshakes presenting the same payload.
+	// across handshakes presenting the same payload. Like VerifyCache it
+	// is unbounded, keeps every distinct chain it has parsed for as long
+	// as the process holds it, and leaves scan results unchanged.
 	ChainCache *cert.ChainCache
 }
 
