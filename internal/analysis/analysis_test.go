@@ -158,11 +158,15 @@ func TestKeyAlgoMatrix(t *testing.T) {
 			t.Errorf("SHA1 validity = %.1f%%, want low", c.ValidPct())
 		}
 	}
-	if n := WeakSignatureHosts(worldScan(t)); n == 0 {
-		t.Error("no weak-signature hosts observed")
-	}
-	if n := SmallRSAHosts(worldScan(t)); n == 0 {
+	// §5.3.2's weak populations surface as matrix cells: 1024-bit RSA
+	// host keys and MD5/SHA1-signed leaves.
+	if c, ok := Cell(m.ByHostKey, "RSA-1024"); !ok || c.Total == 0 {
 		t.Error("no small-RSA hosts observed")
+	}
+	for _, label := range []string{"md5WithRSAEncryption", "sha1WithRSAEncryption"} {
+		if c, ok := Cell(m.BySigAlgo, label); !ok || c.Total == 0 {
+			t.Errorf("no %s hosts observed", label)
+		}
 	}
 }
 

@@ -64,14 +64,6 @@ func Cell(cells []KeyCell, label string) (KeyCell, bool) {
 	return KeyCell{}, false
 }
 
-// WeakSignatureHosts counts hosts whose certificates are signed with MD5 or
-// SHA1 (§5.3.2's 920 sites).
-func WeakSignatureHosts(set *resultset.Set) int { return set.WeakSignatureHosts() }
-
-// SmallRSAHosts counts hosts using RSA keys below 2048 bits (§5.3.2's 520
-// sites on 1024-bit RSA).
-func SmallRSAHosts(set *resultset.Set) int { return set.SmallRSAHosts() }
-
 // DurationStats reproduces §5.3.1 and Figures 3/10: certificate lifetimes
 // for valid vs invalid certificates.
 type DurationStats struct {

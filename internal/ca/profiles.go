@@ -11,8 +11,6 @@ const (
 	Lifetime90d = 90 * 24 * time.Hour
 	Lifetime1y  = 365 * 24 * time.Hour
 	Lifetime2y  = 730 * 24 * time.Hour
-	// Lifetime825d is the CA/Browser-Forum ballot-193 maximum.
-	Lifetime825d = 825 * 24 * time.Hour
 )
 
 // BuiltinProfiles returns the CA ecosystem of the study: the top issuers of

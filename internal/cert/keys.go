@@ -15,10 +15,3 @@ func NewKey(r *rand.Rand, t KeyType, bits int) PublicKey {
 	}
 	return PublicKey{Type: t, Bits: bits, ID: id}
 }
-
-// CommonRSASizes are the RSA host key sizes observed in the study
-// (Figure 4), including the misconfiguration-prone 3248 and 8192.
-var CommonRSASizes = []int{1024, 2048, 3248, 4096, 8192}
-
-// CommonECSizes are the EC host key sizes observed in the study.
-var CommonECSizes = []int{256, 384, 521}

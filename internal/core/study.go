@@ -83,31 +83,26 @@ func NewStudy(cfg world.Config) (*Study, error) {
 	s.datasets.Register(dataset.Source{
 		Name:  "worldwide",
 		Hosts: func() []string { return s.World.GovHosts },
-		Opts:  s.indexOptions,
 	})
 	for _, ds := range w.USA.Datasets {
 		hosts := ds.Hosts
 		s.datasets.Register(dataset.Source{
 			Name:  "usa:" + ds.Key,
 			Hosts: func() []string { return hosts },
-			Opts:  s.indexOptions,
 		})
 	}
 	s.datasets.Register(dataset.Source{
 		Name:  "usa:all",
 		Hosts: func() []string { return s.World.USA.AllHosts() },
-		Opts:  s.indexOptions,
 		Build: func(ctx context.Context) (*resultset.Set, error) { return s.assembleUSAAll(ctx) },
 	})
 	s.datasets.Register(dataset.Source{
 		Name:  "rok",
 		Hosts: func() []string { return s.World.ROK.Hosts },
-		Opts:  s.indexOptions,
 	})
 	s.datasets.Register(dataset.Source{
 		Name:  "acmefleet",
 		Hosts: func() []string { return s.fleetHosts() },
-		Opts:  s.indexOptions,
 		Build: func(ctx context.Context) (*resultset.Set, error) { return s.scanFleetCorpus(ctx) },
 	})
 	return s, nil
@@ -120,8 +115,8 @@ func (s *Study) indexOptions() resultset.Options {
 
 // scanDataset is the registry's scan function: probe the hosts with the
 // study's current scanner posture and index the results.
-func (s *Study) scanDataset(ctx context.Context, hosts []string, opts resultset.Options) *resultset.Set {
-	return resultset.New(s.Scanner().ScanAll(ctx, hosts), opts)
+func (s *Study) scanDataset(ctx context.Context, hosts []string) *resultset.Set {
+	return resultset.New(s.Scanner().ScanAll(ctx, hosts), s.indexOptions())
 }
 
 // assembleUSAAll builds the usa:all set from the cached per-key GSA
@@ -269,8 +264,8 @@ func (s *Study) Registry() *dataset.Registry { return s.datasets }
 // MarkDatasetDirty records hosts whose cached results are stale after a
 // world mutation — the hook the remediation experiments (S722, E4) use.
 // The next Get patches the cached set, rescanning only the named hosts
-// (plus corpus newcomers) instead of the full corpus; on fault-free
-// worlds the patched set is bit-identical to a full rescan.
+// instead of the full corpus; on fault-free worlds the patched set is
+// bit-identical to a full rescan.
 func (s *Study) MarkDatasetDirty(name string, hosts []string) bool {
 	return s.datasets.MarkDirty(name, hosts)
 }

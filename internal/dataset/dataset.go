@@ -28,21 +28,21 @@ import (
 type Source struct {
 	// Name is the registry key, e.g. "worldwide" or "usa:currentfed".
 	Name string
-	// Hosts returns the dataset's hostname list (called at scan time, so
-	// it observes world mutations).
+	// Hosts returns the dataset's hostname list (called at build time, so
+	// it observes world mutations). A dirty Get patches the cached set
+	// only while this list still matches its rows; any other corpus
+	// change rebuilds the dataset in full.
 	Hosts func() []string
-	// Opts returns the index options for the dataset's result sets.
-	Opts func() resultset.Options
 	// Build, when non-nil, replaces the registry's ScanFunc for full
 	// builds of this dataset — the hook composite datasets (usa:all) use
 	// to assemble themselves from other cached datasets instead of
-	// rescanning. Partial rebuilds after MarkDirty still scan.
+	// rescanning. Patches after MarkDirty still scan.
 	Build func(ctx context.Context) (*resultset.Set, error)
 }
 
 // ScanFunc performs one scan: probe hosts and build the indexed set.
 // The registry calls it without holding any lock.
-type ScanFunc func(ctx context.Context, hosts []string, opts resultset.Options) *resultset.Set
+type ScanFunc func(ctx context.Context, hosts []string) *resultset.Set
 
 // entry is one dataset's cache slot.
 type entry struct {
@@ -55,8 +55,8 @@ type entry struct {
 	invalidations int
 	set           *resultset.Set
 	// dirty records hosts whose cached results are stale (MarkDirty): the
-	// next Get patches the set by rescanning only these (plus corpus
-	// newcomers) instead of the full host list.
+	// next Get patches the set by rescanning only these instead of the
+	// full host list.
 	dirty map[string]struct{}
 	// inflight is non-nil while a scan runs; waiters block on it.
 	inflight chan struct{}
@@ -150,9 +150,9 @@ func (r *Registry) get(ctx context.Context, name string) (*resultset.Set, int, e
 			continue
 		}
 		// Claim the build for the current generation, consuming any dirty
-		// set: base+dirty patch in place of a full rescan. The slot is
-		// cleared so concurrent Gets wait on the in-flight build instead
-		// of reading the stale base.
+		// set: base+dirty patch in place of a full rescan while the corpus
+		// is unchanged. The slot is cleared so concurrent Gets wait on the
+		// in-flight build instead of reading the stale base.
 		e.inflight = make(chan struct{})
 		gen := e.gen
 		base, dirty := e.set, e.dirty
@@ -160,15 +160,21 @@ func (r *Registry) get(ctx context.Context, name string) (*resultset.Set, int, e
 		done := e.inflight
 		r.mu.Unlock()
 
+		// Only a dirty base has rows the corpus can still match; a first
+		// build with a Build hook never calls Hosts().
+		var hosts []string
+		if base != nil {
+			hosts = e.src.Hosts()
+		}
 		var set *resultset.Set
 		var err error
 		switch {
-		case base != nil && len(dirty) > 0:
-			set, err = r.patch(ctx, e.src, base, dirty)
+		case base != nil && sameHosts(hosts, base):
+			set, err = r.patch(ctx, hosts, base, dirty)
 		case e.src.Build != nil:
 			set, err = e.src.Build(ctx)
 		default:
-			set = r.scan(ctx, e.src.Hosts(), e.src.Opts())
+			set = r.scan(ctx, e.src.Hosts())
 		}
 
 		r.mu.Lock()
@@ -321,53 +327,27 @@ func (r *Registry) Generations() []GenerationInfo {
 	return out
 }
 
-// patch rebuilds a dataset from its cached base: only dirty hosts and
-// hosts absent from the base are rescanned. When the corpus host list is
-// unchanged, the base's indexes are patched incrementally
-// (resultset.ApplyDelta — cost proportional to the dirty set, not the
-// corpus); when hosts appeared or disappeared, the set is reassembled in
-// the source's current host order (resultset.Assemble), rescanned rows
-// first. Per-host results are scan-order independent on fault-free
-// worlds, so either path is bit-identical to a full rescan at a fraction
-// of the cost; flaky worlds should use Invalidate instead (dial-ordinal
-// fault draws depend on scan makeup).
-func (r *Registry) patch(ctx context.Context, src Source, base *resultset.Set, dirty map[string]struct{}) (*resultset.Set, error) {
-	hosts := src.Hosts()
-
-	// Fast path: same corpus, same order — re-scan only the dirty hosts
-	// (in corpus order, so the delta is deterministic) and splice the
-	// changed rows into the base's shared-index chain. The comparison
-	// reads rows through At: on a delta generation Results would
-	// materialize an O(corpus) copy.
-	if sameHosts(hosts, base) {
-		toScan := make([]string, 0, len(dirty))
-		for _, h := range hosts {
-			if _, stale := dirty[h]; stale {
-				toScan = append(toScan, h)
-			}
-		}
-		sub := r.scan(ctx, toScan, src.Opts())
-		if next, err := base.ApplyDelta(sub.Results()); err == nil {
-			return next, nil
-		}
-		// A delta contract violation (host vanished from the scan
-		// output) falls through to the reassembly below.
-	}
-
-	var toScan []string
+// patch rebuilds a dataset from its cached base when the corpus is
+// unchanged: it rescans only the dirty hosts (in corpus order, so the
+// delta is deterministic) and splices the changed rows into the base's
+// shared-index chain (resultset.ApplyDelta — cost proportional to the
+// dirty set, not the corpus). Per-host results are scan-order independent
+// on fault-free worlds, so the patch is bit-identical to a full rescan;
+// flaky worlds should use Invalidate instead (dial-ordinal fault draws
+// depend on scan makeup).
+func (r *Registry) patch(ctx context.Context, hosts []string, base *resultset.Set, dirty map[string]struct{}) (*resultset.Set, error) {
+	toScan := make([]string, 0, len(dirty))
 	for _, h := range hosts {
 		if _, stale := dirty[h]; stale {
 			toScan = append(toScan, h)
-		} else if _, have := base.Lookup(h); !have {
-			toScan = append(toScan, h)
 		}
 	}
-	opts := src.Opts()
-	sub := r.scan(ctx, toScan, opts)
-	return resultset.Assemble(hosts, opts, sub.Results(), base.Results())
+	return base.ApplyDelta(r.scan(ctx, toScan).Results())
 }
 
-// sameHosts reports whether set's rows are exactly hosts, in order.
+// sameHosts reports whether set's rows are exactly hosts, in order. It
+// reads rows through At: on a delta generation Results would materialize
+// an O(corpus) copy.
 func sameHosts(hosts []string, set *resultset.Set) bool {
 	if len(hosts) != set.Len() {
 		return false
@@ -383,7 +363,8 @@ func sameHosts(hosts []string, set *resultset.Set) bool {
 // MarkDirty records hosts whose cached results in the named dataset are
 // stale — the partial-invalidation hook the remediation experiments use.
 // Unlike Invalidate, the next Get patches the cached set (see patch)
-// instead of rescanning the whole corpus. Marking while a build is in
+// instead of rescanning the whole corpus, unless the corpus itself has
+// changed since the set was built. Marking while a build is in
 // flight dooms the build (it may or may not have observed the mutation);
 // marking an empty slot is a no-op, since the next Get scans fresh.
 // Returns false for unknown names.

@@ -13,13 +13,13 @@ import (
 
 // fakeScan builds a set directly from the hostnames, counting invocations.
 func fakeScan(scans *atomic.Int64) dataset.ScanFunc {
-	return func(_ context.Context, hosts []string, opts resultset.Options) *resultset.Set {
+	return func(_ context.Context, hosts []string) *resultset.Set {
 		scans.Add(1)
 		rs := make([]scanner.Result, len(hosts))
 		for i, h := range hosts {
 			rs[i] = scanner.Result{Hostname: h}
 		}
-		return resultset.New(rs, opts)
+		return resultset.New(rs, resultset.Options{})
 	}
 }
 
@@ -30,7 +30,6 @@ func newTestRegistry(scans *atomic.Int64, names ...string) *dataset.Registry {
 		r.Register(dataset.Source{
 			Name:  n,
 			Hosts: func() []string { return []string{n + ".gov"} },
-			Opts:  func() resultset.Options { return resultset.Options{} },
 		})
 	}
 	return r
@@ -147,15 +146,14 @@ func TestInvalidateAllExactlyOnce(t *testing.T) {
 func TestConcurrentGetSingleFlight(t *testing.T) {
 	var scans atomic.Int64
 	release := make(chan struct{})
-	r := dataset.NewRegistry(func(_ context.Context, hosts []string, opts resultset.Options) *resultset.Set {
+	r := dataset.NewRegistry(func(_ context.Context, hosts []string) *resultset.Set {
 		scans.Add(1)
 		<-release
-		return resultset.New([]scanner.Result{{Hostname: hosts[0]}}, opts)
+		return resultset.New([]scanner.Result{{Hostname: hosts[0]}}, resultset.Options{})
 	})
 	r.Register(dataset.Source{
 		Name:  "a",
 		Hosts: func() []string { return []string{"a.gov"} },
-		Opts:  func() resultset.Options { return resultset.Options{} },
 	})
 
 	const n = 16
@@ -191,18 +189,17 @@ func TestInvalidateMidScanDiscards(t *testing.T) {
 	var scans atomic.Int64
 	started := make(chan struct{}, 4)
 	release := make(chan struct{})
-	r := dataset.NewRegistry(func(_ context.Context, hosts []string, opts resultset.Options) *resultset.Set {
+	r := dataset.NewRegistry(func(_ context.Context, hosts []string) *resultset.Set {
 		n := scans.Add(1)
 		if n == 1 {
 			started <- struct{}{}
 			<-release // hold the first scan until the test invalidates
 		}
-		return resultset.New([]scanner.Result{{Hostname: hosts[0]}}, opts)
+		return resultset.New([]scanner.Result{{Hostname: hosts[0]}}, resultset.Options{})
 	})
 	r.Register(dataset.Source{
 		Name:  "a",
 		Hosts: func() []string { return []string{"a.gov"} },
-		Opts:  func() resultset.Options { return resultset.Options{} },
 	})
 
 	done := make(chan *resultset.Set)

@@ -26,7 +26,7 @@ type mutableWorld struct {
 	entered chan string
 }
 
-func (m *mutableWorld) scan(_ context.Context, hosts []string, opts resultset.Options) *resultset.Set {
+func (m *mutableWorld) scan(_ context.Context, hosts []string) *resultset.Set {
 	m.mu.Lock()
 	m.scanned = append(m.scanned, append([]string(nil), hosts...))
 	gate := m.gate
@@ -45,7 +45,7 @@ func (m *mutableWorld) scan(_ context.Context, hosts []string, opts resultset.Op
 		rs[i] = scanner.Result{Hostname: h, Available: true, ServesHTTP: true, HSTS: m.hsts[h]}
 	}
 	m.mu.Unlock()
-	return resultset.New(rs, opts)
+	return resultset.New(rs, resultset.Options{})
 }
 
 func (m *mutableWorld) setHSTS(host string, v bool) {
@@ -69,7 +69,6 @@ func newMutableRegistry(m *mutableWorld) *dataset.Registry {
 	r.Register(dataset.Source{
 		Name:  "d",
 		Hosts: func() []string { return append([]string(nil), mdHosts...) },
-		Opts:  func() resultset.Options { return resultset.Options{} },
 	})
 	return r
 }
@@ -201,8 +200,8 @@ func TestMarkDirtyRacingGetDoomsBuildOnce(t *testing.T) {
 }
 
 // TestPatchFallsBackOnCorpusChange pins the slow path: when the host
-// list itself changed, the patch reassembles in host order (every current
-// host present) instead of the delta splice.
+// list itself changed, a dirty Get skips the delta splice and rebuilds
+// the dataset in full from its current host list.
 func TestPatchFallsBackOnCorpusChange(t *testing.T) {
 	m := &mutableWorld{hsts: map[string]bool{}}
 	hosts := append([]string(nil), mdHosts...)
@@ -215,7 +214,6 @@ func TestPatchFallsBackOnCorpusChange(t *testing.T) {
 			defer mu.Unlock()
 			return append([]string(nil), hosts...)
 		},
-		Opts: func() resultset.Options { return resultset.Options{} },
 	})
 	ctx := context.Background()
 	if _, err := r.Get(ctx, "d"); err != nil {
@@ -234,17 +232,17 @@ func TestPatchFallsBackOnCorpusChange(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Len() != 6 {
-		t.Fatalf("patched set len = %d, want 6 (corpus newcomer included)", got.Len())
+		t.Fatalf("rebuilt set len = %d, want 6 (corpus newcomer included)", got.Len())
 	}
 	if rf, _ := got.Lookup("f.gov"); rf == nil {
-		t.Fatal("corpus newcomer missing after patch")
+		t.Fatal("corpus newcomer missing after rebuild")
 	}
 	if rb, _ := got.Lookup("b.gov"); rb == nil || !rb.HSTS {
-		t.Fatal("dirty host not refreshed on the fallback path")
+		t.Fatal("dirty host not refreshed by the rebuild")
 	}
 	scans := m.scans()
-	if last := scans[len(scans)-1]; len(last) != 2 {
-		t.Fatalf("fallback scanned %v, want the dirty host + the newcomer", last)
+	if len(scans) != 2 || len(scans[1]) != 6 {
+		t.Fatalf("scans = %v, want the first build + a full rebuild of all 6 hosts", scans)
 	}
 }
 
@@ -264,7 +262,6 @@ func TestPatchCostScalesWithDelta(t *testing.T) {
 	r.Register(dataset.Source{
 		Name:  "d",
 		Hosts: func() []string { return hosts },
-		Opts:  func() resultset.Options { return resultset.Options{} },
 	})
 	ctx := context.Background()
 	get := func() *resultset.Set {

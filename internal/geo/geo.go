@@ -25,7 +25,6 @@ const (
 	ConvGub        GovConvention = "gub"        // Uruguay
 	ConvGovern     GovConvention = "govern"     // Andorra
 	ConvGovernment GovConvention = "government" // rare
-	ConvGuv        GovConvention = "guv"        // rare
 	ConvGovt       GovConvention = "govt"       // New Zealand
 	ConvAdmin      GovConvention = "admin"      // Switzerland
 	ConvNone       GovConvention = ""           // no dedicated convention (whitelist only)

@@ -23,14 +23,6 @@ type Point struct {
 // Total is the population size at the sample.
 func (p Point) Total() int { return p.Gone + p.HTTPOnly + p.Broken + p.Valid }
 
-// ValidShare is the valid-https fraction in [0,1].
-func (p Point) ValidShare() float64 {
-	if t := p.Total(); t > 0 {
-		return float64(p.Valid) / float64(t)
-	}
-	return 0
-}
-
 // Tally reduces an indexed scan straight to one sample of the adoption
 // curve: the same per-host classification as Capture, read from the
 // set's maintained Table 2 counts instead of a walk over its rows. The

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/cert"
 	"repro/internal/scanner"
 )
 
@@ -102,8 +101,6 @@ func (s *Set) ApplyDelta(changed []scanner.Result) (*Set, error) {
 
 	ns.counts = s.counts
 	ns.issuerDomain = s.issuerDomain
-	ns.weakSigHosts = s.weakSigHosts
-	ns.smallRSAHosts = s.smallRSAHosts
 	ns.ccAggs = append([]CountryAgg(nil), s.ccAggs...)
 
 	var catOps, excOps, provOps, kindOps, issOps deltaOps
@@ -166,24 +163,10 @@ func (s *Set) ApplyDelta(changed []scanner.Result) (*Set, error) {
 		}
 		var ocn, ncn string
 		if ochain {
-			leaf := or.Chain[0]
-			ocn = leaf.Issuer.CommonName
-			if leaf.SignatureAlgorithm.IsWeak() {
-				ns.weakSigHosts--
-			}
-			if leaf.PublicKey.Type == cert.KeyRSA && leaf.PublicKey.Bits < 2048 {
-				ns.smallRSAHosts--
-			}
+			ocn = or.Chain[0].Issuer.CommonName
 		}
 		if nchain {
-			leaf := nr.Chain[0]
-			ncn = leaf.Issuer.CommonName
-			if leaf.SignatureAlgorithm.IsWeak() {
-				ns.weakSigHosts++
-			}
-			if leaf.PublicKey.Type == cert.KeyRSA && leaf.PublicKey.Bits < 2048 {
-				ns.smallRSAHosts++
-			}
+			ncn = nr.Chain[0].Issuer.CommonName
 		}
 
 		if ocn != ncn {

@@ -147,9 +147,7 @@ type Set struct {
 	combinedIdx cellIndex[combKey]
 	versionIdx  cellIndex[int] // version+1; 0 = no-handshake sentinel
 
-	weakSigHosts  int
-	smallRSAHosts int
-	issuerDomain  int // chain-bearing results with a non-empty issuer CN
+	issuerDomain int // chain-bearing results with a non-empty issuer CN
 }
 
 // combKey is the value identity of one key-type × signing-algorithm
@@ -479,13 +477,6 @@ func build(results []scanner.Result, opts Options) *Set {
 				combFirst = append(combFirst, int32(i))
 			}
 			bumpCell(&combinedCells[cp], valid)
-
-			if leaf.SignatureAlgorithm.IsWeak() {
-				s.weakSigHosts++
-			}
-			if leaf.PublicKey.Type == cert.KeyRSA && leaf.PublicKey.Bits < 2048 {
-				s.smallRSAHosts++
-			}
 		}
 		flags[i] = f
 	}
@@ -833,9 +824,3 @@ func (s *Set) CombinedCells() []Cell { return s.combinedIdx.orderedCells() }
 // VersionCells returns per-negotiated-TLS-version cells over hosts that
 // attempt https, with "(no handshake)" for protocol-layer failures.
 func (s *Set) VersionCells() []Cell { return s.versionIdx.orderedCells() }
-
-// WeakSignatureHosts counts hosts whose leaf is signed with MD5 or SHA1.
-func (s *Set) WeakSignatureHosts() int { return s.weakSigHosts }
-
-// SmallRSAHosts counts hosts with RSA keys below 2048 bits.
-func (s *Set) SmallRSAHosts() int { return s.smallRSAHosts }

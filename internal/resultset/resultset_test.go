@@ -408,12 +408,6 @@ func assertSetsEqual(t *testing.T, got, want *resultset.Set) {
 	if !reflect.DeepEqual(got.VersionCells(), want.VersionCells()) {
 		t.Errorf("version cells diverge")
 	}
-	if got.WeakSignatureHosts() != want.WeakSignatureHosts() {
-		t.Errorf("WeakSignatureHosts diverges")
-	}
-	if got.SmallRSAHosts() != want.SmallRSAHosts() {
-		t.Errorf("SmallRSAHosts diverges")
-	}
 	for i := range rs {
 		r, ok := got.Lookup(rs[i].Hostname)
 		if !ok || r.Hostname != rs[i].Hostname {

@@ -26,14 +26,3 @@ func (s *Set) IssuerCells() []Cell {
 	}
 	return out
 }
-
-// Hostnames maps result indices to their hostnames, preserving order —
-// the paging helper behind the per-country/per-issuer/per-category host
-// listings.
-func (s *Set) Hostnames(indices []int) []string {
-	out := make([]string, len(indices))
-	for i, idx := range indices {
-		out[i] = s.At(idx).Hostname
-	}
-	return out
-}

@@ -2,6 +2,7 @@ package scanner
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
@@ -132,9 +133,11 @@ type Journal struct {
 const journalFlushEvery = 64
 
 // OpenJournal opens (or creates) a checkpoint journal, loading every
-// complete entry already present. A truncated final line — the signature
-// of a run killed mid-write — is discarded and overwritten by the next
-// append.
+// complete entry already present. Append terminates every entry with a
+// newline, so a final line without one — the signature of a run killed
+// mid-write, even when only the newline was lost — is torn: it is
+// discarded and overwritten by the next append, as is everything from the
+// first corrupt line on.
 func OpenJournal(path string) (*Journal, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
@@ -144,6 +147,7 @@ func OpenJournal(path string) (*Journal, error) {
 	var goodBytes int64
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
+	sc.Split(scanTerminatedLines)
 	for sc.Scan() {
 		line := sc.Bytes()
 		var e journalEntry
@@ -155,7 +159,7 @@ func OpenJournal(path string) (*Journal, error) {
 			break
 		}
 		done[e.Hostname] = r
-		goodBytes += int64(len(line)) + 1
+		goodBytes += int64(len(line))
 	}
 	if err := sc.Err(); err != nil {
 		f.Close()
@@ -171,6 +175,16 @@ func OpenJournal(path string) (*Journal, error) {
 		return nil, fmt.Errorf("scanner: seeking journal: %w", err)
 	}
 	return &Journal{f: f, w: bufio.NewWriterSize(f, 1<<16), done: done}, nil
+}
+
+// scanTerminatedLines is a bufio.SplitFunc yielding each line with its
+// newline, so the caller counts exactly the bytes it accepted. Trailing
+// bytes with no newline yield no token: they are a torn tail.
+func scanTerminatedLines(data []byte, _ bool) (int, []byte, error) {
+	if i := bytes.IndexByte(data, '\n'); i >= 0 {
+		return i + 1, data[:i+1], nil
+	}
+	return 0, nil, nil
 }
 
 // Lookup returns the checkpointed result for a host, if present.

@@ -464,3 +464,162 @@ func TestJournalTruncatedTail(t *testing.T) {
 		t.Errorf("len = %d after repair+append, want 3", j3.Len())
 	}
 }
+
+// TestJournalTornBeforeNewline: a crash that cuts an entry's write just
+// before its newline leaves a line that parses but is torn. Reopening
+// must discard it rather than count its missing newline, which would
+// extend the file with a NUL byte and glue the next append onto the torn
+// line — losing both, and every later entry, on the following reopen.
+func TestJournalTornBeforeNewline(t *testing.T) {
+	results := scanAllOnce(t)
+	path := filepath.Join(t.TempDir(), "scan.jsonl")
+	j, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range results[:3] {
+		if err := j.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw[:len(raw)-1], 0o644); err != nil { // kill -9 before the final '\n'
+		t.Fatal(err)
+	}
+
+	j2, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var accepted []string
+	for _, r := range results[:3] {
+		if _, ok := j2.Lookup(r.Hostname); ok {
+			accepted = append(accepted, r.Hostname)
+		}
+	}
+	if err := j2.Append(results[3]); err != nil {
+		t.Fatal(err)
+	}
+	if err := j2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	repaired, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.IndexByte(repaired, 0) >= 0 {
+		t.Error("repaired journal contains a NUL byte")
+	}
+	j3, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j3.Close()
+	for _, h := range append(accepted, results[3].Hostname) {
+		if _, ok := j3.Lookup(h); !ok {
+			t.Errorf("host %q lost after repair + append", h)
+		}
+	}
+	if want := len(accepted) + 1; j3.Len() != want {
+		t.Errorf("len = %d after repair + append, want %d", j3.Len(), want)
+	}
+}
+
+// FuzzOpenJournal feeds arbitrary bytes to the journal reader. Whatever
+// the input, OpenJournal must not panic; on success the repaired file is
+// a prefix of the input that is empty or ends in a newline, reopening it
+// changes nothing, and one fresh append survives a close and reopen.
+func FuzzOpenJournal(f *testing.F) {
+	results := scanAllOnce(f)
+	seeds := []Result{results[0], {Hostname: "dns-fail.gov.zz", DNSError: true}}
+	for _, r := range results {
+		if len(r.Chain) > 0 {
+			seeds = append(seeds, r)
+			break
+		}
+	}
+	path := filepath.Join(f.TempDir(), "seed.jsonl")
+	j, err := OpenJournal(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, r := range seeds {
+		j.Append(r)
+	}
+	if err := j.Close(); err != nil {
+		f.Fatal(err)
+	}
+	full, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add([]byte{})
+	f.Add(full)
+	f.Add(full[:len(full)-1])                                   // torn before the final newline
+	f.Add(full[:len(full)/2])                                   // torn mid-entry
+	f.Add(append(append([]byte{}, full...), `{"hostname":`...)) // partial trailing entry
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "j.jsonl")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, err := OpenJournal(path)
+		if err != nil {
+			return
+		}
+		n := j.Len()
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		kept, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(data, kept) {
+			t.Fatalf("repaired journal is not a prefix of the input:\n got %q\nfrom %q", kept, data)
+		}
+		if len(kept) > 0 && kept[len(kept)-1] != '\n' {
+			t.Fatalf("repaired journal does not end in a newline: %q", kept)
+		}
+
+		j2, err := OpenJournal(path)
+		if err != nil {
+			t.Fatalf("reopening a repaired journal: %v", err)
+		}
+		if j2.Len() != n {
+			t.Fatalf("second open holds %d hosts, first held %d", j2.Len(), n)
+		}
+		if st, err := os.Stat(path); err != nil || st.Size() != int64(len(kept)) {
+			t.Fatalf("second open changed the file: %v, size %v want %d", err, st, len(kept))
+		}
+		fresh := "fresh.gov.zz"
+		for {
+			if _, dup := j2.Lookup(fresh); !dup {
+				break
+			}
+			fresh = "x" + fresh
+		}
+		if err := j2.Append(Result{Hostname: fresh}); err != nil {
+			t.Fatal(err)
+		}
+		if err := j2.Close(); err != nil {
+			t.Fatal(err)
+		}
+		j3, err := OpenJournal(path)
+		if err != nil {
+			t.Fatalf("reopening after an append: %v", err)
+		}
+		defer j3.Close()
+		if j3.Len() != n+1 {
+			t.Fatalf("after one fresh append: %d hosts, want %d", j3.Len(), n+1)
+		}
+	})
+}

@@ -67,17 +67,16 @@ type Config struct {
 	// Retries is the number of re-attempts after connection failures; the
 	// paper used 3.
 	Retries int
-	// Timeout bounds each connection attempt.
-	Timeout time.Duration
 	// Store is the trust store chains are validated against; the paper's
 	// default is the conservative Apple-shaped store.
 	Store *truststore.Store
 	// Now is the scan time for certificate validity.
 	Now time.Time
-	// Clock paces retry backoff. Simulation uses a collapsing virtual
-	// clock (backoff advances simulated time only); production would use
-	// simclock.Real. nil defaults to a fresh virtual clock.
-	Clock simclock.Clock
+	// Clock paces retry backoff on simulated time: a collapsing virtual
+	// clock, so backoff advances simulated time only and nothing in a scan
+	// waits on wall time. Timeouts are simnet faults that fail the dial at
+	// once, not deadlines. nil defaults to a fresh virtual clock.
+	Clock *simclock.Virtual
 	// BackoffBase is the delay before the first re-attempt; each further
 	// re-attempt doubles it (plus deterministic jitter). Zero disables
 	// backoff pacing.
@@ -113,7 +112,6 @@ func DefaultConfig(store *truststore.Store, now time.Time) Config {
 		Vantage:     "lab",
 		Concurrency: 64,
 		Retries:     3,
-		Timeout:     5 * time.Second,
 		Store:       store,
 		Now:         now,
 		Clock:       simclock.NewVirtual(now),
@@ -261,32 +259,11 @@ func (s *Scanner) Scan(ctx context.Context, hostname string) Result {
 	res.IP = ip
 	res.Provider, res.HostKind = s.Class.Classify(res.IP)
 
-	// Ports 80 and 443 are probed concurrently; the 443 outcome is staged
-	// in out and merged after the join, because how it is reported depends
-	// on what port 80 said (a refused 443 is only an exception when port 80
-	// advertised an https upgrade). With a circuit breaker configured the
-	// probes run sequentially instead: the breaker consumes dial outcomes
-	// in order, and that order is part of its contract. Virtual-clock scans
-	// also probe sequentially: simulated waiting is collapsed, so probe
-	// concurrency cannot hide any latency — the per-host goroutine would be
-	// pure scheduling and stack-growth overhead. Results are identical
-	// either way: the probes touch different endpoints (ports 80 and 443),
-	// so each port's dial sequence is unchanged.
-	var out httpsOutcome
-	_, virtual := s.Cfg.Clock.(*simclock.Virtual)
-	if s.Cfg.Breaker != nil || virtual {
-		s.probeHTTP(ctx, &res)
-		s.probeHTTPS(ctx, &res, &out)
-	} else {
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			s.probeHTTPS(ctx, &res, &out)
-		}()
-		s.probeHTTP(ctx, &res)
-		<-done
-	}
-	s.mergeHTTPS(&res, &out)
+	// Port 80 is probed first: how a refused 443 is reported depends on
+	// whether port 80 advertised an https upgrade, and a configured
+	// circuit breaker consumes dial outcomes in this order.
+	s.probeHTTP(ctx, &res)
+	s.probeHTTPS(ctx, &res)
 
 	res.Available = res.ServesHTTP || res.ServesHTTPS || res.RedirectsToHTTPS ||
 		len(res.Chain) > 0 || res.Exception.ServerResponded()
@@ -314,7 +291,6 @@ func (s *Scanner) probeHTTP(ctx context.Context, res *Result) {
 		return
 	}
 	defer conn.Close()
-	s.applyDeadline(conn)
 	resp, err := httpsim.Get(conn, res.Hostname, "/")
 	if err != nil {
 		return
@@ -331,92 +307,49 @@ func (s *Scanner) probeHTTP(ctx context.Context, res *Result) {
 	}
 }
 
-// httpsOutcome stages everything the 443 probe learned. It is merged into
-// the Result only after the port-80 probe has finished, so the two probes
-// can run concurrently without racing on Result fields.
-type httpsOutcome struct {
-	circuitOpen bool
-	dialFailed  bool
-	engaged     bool // the TLS layer was reached (handshake attempted)
-	exception   Exception
-	detail      string
-
-	version     tlssim.Version
-	chain       []*cert.Certificate
-	verify      verify.Result
-	servesHTTPS bool
-	hsts        bool
-}
-
-// probeHTTPS probes port 443 into out. It writes only out and, via
-// dialRetry, res.Attempts — a field nothing else touches — so it is safe to
-// run alongside probeHTTP.
-func (s *Scanner) probeHTTPS(ctx context.Context, res *Result, out *httpsOutcome) {
+// probeHTTPS probes port 443 and records its outcome. It runs after
+// probeHTTP, whose RedirectsToHTTPS decides how a refusal is reported.
+func (s *Scanner) probeHTTPS(ctx context.Context, res *Result) {
 	conn, err := s.dialRetry(ctx, netip.AddrPortFrom(res.IP, 443), res, s.breakerKey(res))
 	if err != nil {
 		if errors.Is(err, ErrCircuitOpen) {
-			out.circuitOpen = true
-			out.detail = err.Error()
+			// Deliberately skipped, not measured: record the degradation
+			// without claiming anything about the host's TLS posture.
+			res.Exception = ExcCircuitOpen
+			res.ExceptionDetail = err.Error()
 			return
 		}
-		out.dialFailed = true
-		out.exception = classifyConnErr(err)
-		out.detail = err.Error()
+		// Connection-level failure. A plain refusal with no upgrade hint
+		// means the host simply does not do https.
+		exc := classifyConnErr(err)
+		if exc == ExcRefused && !res.RedirectsToHTTPS {
+			return
+		}
+		res.AttemptsHTTPS = true
+		res.Exception = exc
+		res.ExceptionDetail = err.Error()
 		return
 	}
 	defer conn.Close()
-	s.applyDeadline(conn)
 
 	ccfg := tlssim.DefaultClientConfig(res.Hostname)
-	ccfg.HandshakeTimeout = s.Cfg.Timeout
-	ccfg.Clock = s.Cfg.Clock
 	ccfg.ChainCache = s.Cfg.ChainCache
 	tc, err := tlssim.ClientHandshake(conn, ccfg)
-	out.engaged = true
+	res.AttemptsHTTPS = true
 	if err != nil {
-		out.exception, out.detail = classifyTLSErr(err)
+		res.Exception, res.ExceptionDetail = classifyTLSErr(err)
 		return
 	}
 	state := tc.ConnectionState()
-	out.version = state.Version
-	out.chain = state.Chain
-	out.verify = (&verify.Verifier{Store: s.Cfg.Store, Now: s.Cfg.Now, Cache: s.Cfg.VerifyCache}).
+	res.TLSVersion = state.Version
+	res.Chain = state.Chain
+	res.Verify = (&verify.Verifier{Store: s.Cfg.Store, Now: s.Cfg.Now, Cache: s.Cfg.VerifyCache}).
 		Verify(state.Chain, res.Hostname)
 
 	resp, err := httpsim.Get(tc, res.Hostname, "/")
 	if err == nil && resp.StatusCode == 200 {
-		out.servesHTTPS = true
-		out.hsts = resp.HSTS()
-	}
-}
-
-// mergeHTTPS folds the staged 443 outcome into the result, reproducing the
-// sequential reporting rules exactly.
-func (s *Scanner) mergeHTTPS(res *Result, out *httpsOutcome) {
-	switch {
-	case out.circuitOpen:
-		// Deliberately skipped, not measured: record the degradation
-		// without claiming anything about the host's TLS posture.
-		res.Exception = ExcCircuitOpen
-		res.ExceptionDetail = out.detail
-	case out.dialFailed:
-		// Connection-level failure. A plain refusal with no upgrade hint
-		// means the host simply does not do https.
-		if out.exception == ExcRefused && !res.RedirectsToHTTPS {
-			return
-		}
-		res.AttemptsHTTPS = true
-		res.Exception = out.exception
-		res.ExceptionDetail = out.detail
-	case out.engaged:
-		res.AttemptsHTTPS = true
-		res.Exception = out.exception
-		res.ExceptionDetail = out.detail
-		res.TLSVersion = out.version
-		res.Chain = out.chain
-		res.Verify = out.verify
-		res.ServesHTTPS = out.servesHTTPS
-		res.HSTS = out.hsts
+		res.ServesHTTPS = true
+		res.HSTS = resp.HSTS()
 	}
 }
 
@@ -444,23 +377,7 @@ func (s *Scanner) dialRetry(ctx context.Context, ep netip.AddrPort, res *Result,
 		if res != nil {
 			res.Attempts++
 		}
-		// Bound the dial by wall time only under a real clock. Virtual-clock
-		// dials never block on wall time — simulated timeouts are modeled at
-		// the fault layer (FaultTimeout fails immediately) — so the deadline
-		// context would just be a dead timer allocated per attempt; and as
-		// with applyDeadline, a wall deadline expiring mid-simulation would
-		// fire scheduling-dependently and break determinism.
-		dctx := ctx
-		var cancel context.CancelFunc
-		if s.Cfg.Timeout > 0 {
-			if _, virtual := s.Cfg.Clock.(*simclock.Virtual); !virtual {
-				dctx, cancel = context.WithTimeout(ctx, s.Cfg.Timeout)
-			}
-		}
-		conn, err := s.Dialer.Dial(dctx, s.Cfg.Vantage, ep)
-		if cancel != nil {
-			cancel()
-		}
+		conn, err := s.Dialer.Dial(ctx, s.Cfg.Vantage, ep)
 		if err == nil {
 			if s.Cfg.Breaker != nil {
 				s.Cfg.Breaker.Success(key)
@@ -544,23 +461,6 @@ func (s *Scanner) breakerKey(res *Result) string {
 		return res.IP.String()
 	}
 	return p.String()
-}
-
-// applyDeadline bounds post-dial I/O using the configured clock rather
-// than wall time, so real-clock scans time out on the same timeline the
-// retry/backoff machinery runs on. Virtual-clock runs set no deadline at
-// all: the collapsing clock is advanced by *other* workers' sleeps, so an
-// absolute deadline derived from it would expire scheduling-dependently
-// and break determinism — simulated timeouts are modeled at the dial/fault
-// layer instead.
-func (s *Scanner) applyDeadline(conn net.Conn) {
-	if s.Cfg.Timeout <= 0 {
-		return
-	}
-	if _, virtual := s.Cfg.Clock.(*simclock.Virtual); virtual {
-		return
-	}
-	conn.SetDeadline(s.Cfg.Clock.Now().Add(s.Cfg.Timeout))
 }
 
 func classifyConnErr(err error) Exception {

@@ -20,7 +20,7 @@ func testScanner() *Scanner {
 }
 
 // scanAllOnce scans the worldwide list once, caching across tests.
-func scanAllOnce(t *testing.T) []Result {
+func scanAllOnce(t testing.TB) []Result {
 	t.Helper()
 	if testScan == nil {
 		testScan = testScanner().ScanAll(context.Background(), testWorld.GovHosts)

@@ -1,14 +1,18 @@
 package serve_test
 
 import (
+	"bufio"
 	"bytes"
 	"context"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"strconv"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/resultset"
@@ -288,5 +292,53 @@ func TestServeAgainstLiveApplyDelta(t *testing.T) {
 		if len(info.Pinned) != 0 {
 			t.Fatalf("dataset %s still has pinned generations after churn: %+v", info.Name, info.Pinned)
 		}
+	}
+}
+
+// TestAbandonedExportReleasesPin: a client that starts a whole-corpus
+// export, reads one chunk and hangs up must not leave the export's
+// generation pinned — the handler's failed writes end the stream and
+// release the lease.
+func TestAbandonedExportReleasesPin(t *testing.T) {
+	s, _ := serveStudy(t)
+	ts := httptest.NewServer(serve.New(s.Registry(), serve.Config{}).Handler())
+	defer ts.Close()
+
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/export", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := req.Write(conn); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(conn), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("export status %d", resp.StatusCode)
+	}
+	if _, err := io.ReadFull(resp.Body, make([]byte, 4096)); err != nil {
+		t.Fatalf("reading the first chunk: %v", err)
+	}
+	conn.Close()
+
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		pinned := false
+		for _, info := range s.Registry().Generations() {
+			pinned = pinned || len(info.Pinned) > 0
+		}
+		if !pinned {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("generation still pinned 10s after the client hung up: %+v", s.Registry().Generations())
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

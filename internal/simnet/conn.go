@@ -70,7 +70,7 @@ func (b *pipeBuffer) read(p []byte) (int, error) {
 		if b.closed {
 			return 0, io.EOF
 		}
-		//lint:allow walltime net.Conn deadlines are wall-clock by contract; virtual-clock scans never set one (scanner.applyDeadline skips them)
+		//lint:allow walltime net.Conn deadlines are wall-clock by contract; scans run on the virtual clock and never set one
 		if !b.deadline.IsZero() && !time.Now().Before(b.deadline) {
 			return 0, os.ErrDeadlineExceeded
 		}

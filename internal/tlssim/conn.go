@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/cert"
-	"repro/internal/simclock"
 )
 
 // Quirk selects a server misbehaviour observed in the wild and reflected in
@@ -79,12 +78,6 @@ type ClientConfig struct {
 	// ServerName is the SNI value, also used for hostname verification by
 	// the caller.
 	ServerName string
-	// HandshakeTimeout bounds the handshake when positive.
-	HandshakeTimeout time.Duration
-	// Clock supplies the instant the handshake deadline is measured from,
-	// so timeouts run on the same timeline as the scanner's retry/backoff
-	// machinery. nil defaults to the wall clock (simclock.Real).
-	Clock simclock.Clock
 	// ChainCache, when non-nil, deduplicates parsed certificate chains
 	// across handshakes that present the same payload (the scanner shares
 	// one cache across all probes).
@@ -197,10 +190,6 @@ func (c *Conn) SetWriteDeadline(t time.Time) error { return c.raw.SetWriteDeadli
 // ClientHandshake performs the client side of the handshake over raw.
 // On success it returns a connection ready for application data.
 func ClientHandshake(raw net.Conn, cfg *ClientConfig) (*Conn, error) {
-	if deadline, ok := cfg.handshakeDeadline(); ok {
-		raw.SetDeadline(deadline)
-		defer raw.SetDeadline(time.Time{})
-	}
 	hello := clientHello{MinVersion: cfg.MinVersion, MaxVersion: cfg.MaxVersion, ServerName: cfg.ServerName}
 	if err := writeRecord(raw, recordHandshake, cfg.MaxVersion, hello.marshal()); err != nil {
 		return nil, fmt.Errorf("tlssim: sending ClientHello: %w", err)
@@ -267,27 +256,6 @@ func ClientHandshake(raw net.Conn, cfg *ClientConfig) (*Conn, error) {
 		ServerName: cfg.ServerName,
 	}
 	return c, nil
-}
-
-// handshakeDeadline computes the absolute deadline bounding the handshake,
-// measured on the configured clock rather than wall time. Virtual-clock
-// runs get no deadline at all, mirroring scanner.applyDeadline: the
-// collapsing clock is advanced by other goroutines' sleeps, so an absolute
-// deadline derived from it would expire scheduling-dependently and break
-// same-seed determinism — simulated timeouts are modeled at the dial/fault
-// layer instead.
-func (cfg *ClientConfig) handshakeDeadline() (time.Time, bool) {
-	if cfg.HandshakeTimeout <= 0 {
-		return time.Time{}, false
-	}
-	clk := cfg.Clock
-	if clk == nil {
-		clk = simclock.Real{}
-	}
-	if _, virtual := clk.(*simclock.Virtual); virtual {
-		return time.Time{}, false
-	}
-	return clk.Now().Add(cfg.HandshakeTimeout), true
 }
 
 // ServerHandshake performs the server side of the handshake over raw,

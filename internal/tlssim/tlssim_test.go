@@ -210,23 +210,6 @@ func TestClientRejectsGarbageServer(t *testing.T) {
 	}
 }
 
-func TestHandshakeTimeout(t *testing.T) {
-	client, _ := simnet.Pipe(
-		simnet.Addr{AP: netip.MustParseAddrPort("10.0.0.1:5000")},
-		simnet.Addr{AP: netip.MustParseAddrPort("192.0.2.1:443")},
-	)
-	cfg := DefaultClientConfig("x.gov")
-	cfg.HandshakeTimeout = 20 * time.Millisecond
-	start := time.Now()
-	_, err := ClientHandshake(client, cfg)
-	if err == nil {
-		t.Fatal("handshake against silent server succeeded")
-	}
-	if time.Since(start) > 2*time.Second {
-		t.Error("handshake timeout did not fire promptly")
-	}
-}
-
 func TestVersionStrings(t *testing.T) {
 	cases := map[Version]string{
 		SSLv2: "SSLv2", SSLv3: "SSLv3", TLS1_0: "TLSv1.0",
