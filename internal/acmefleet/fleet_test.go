@@ -130,7 +130,7 @@ func TestCampaignConvergesCleanWorld(t *testing.T) {
 	// The serving world now has the rotated certificates: every renewed
 	// host's site carries a fleet-issued Let's Encrypt chain.
 	for _, h := range rep.ChangedHosts() {
-		s, ok := w.Host(h)
+		s, ok := w.Sites[h]
 		if !ok || len(s.Chain) == 0 {
 			t.Fatalf("%s has no chain after rotation", h)
 		}
@@ -174,7 +174,7 @@ func TestFaultMatrix(t *testing.T) {
 			t.Fatal("no CAA-free host to deny")
 		}
 		ep := func(h string) netip.AddrPort {
-			s, _ := w.Host(h)
+			s := w.Sites[h]
 			return netip.AddrPortFrom(s.IP, 80)
 		}
 		// Transient: first 2 challenge dials reset, then recovery.
@@ -326,7 +326,7 @@ func TestProbationRecovery(t *testing.T) {
 	w, set := fixture(t, 41)
 	enrolled := Enroll(set)
 	victim := enrolled[0].Hostname
-	s, _ := w.Host(victim)
+	s := w.Sites[victim]
 	// Exactly FailureBudget resets: the budget parks the host, and the
 	// probation probe hits a recovered service.
 	w.Net.SetFaultSpec(netip.AddrPortFrom(s.IP, 80),

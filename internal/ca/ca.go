@@ -127,13 +127,6 @@ func (r *Registry) MustLookup(name string) *Authority {
 	return a
 }
 
-// Names returns every authority name, sorted.
-func (r *Registry) Names() []string {
-	out := make([]string, len(r.names))
-	copy(out, r.names)
-	return out
-}
-
 // Authorities returns every authority sorted by name.
 func (r *Registry) Authorities() []*Authority {
 	out := make([]*Authority, 0, len(r.names))
@@ -256,7 +249,7 @@ var (
 // paper-measured totals. EV policy OIDs of EV-issuing authorities are
 // trusted, mirroring Mozilla's certverifier list.
 func (r *Registry) BuildStore(name string, counts StoreCounts, rng *rand.Rand) *truststore.Store {
-	s := truststore.New(name)
+	s := truststore.New()
 	owners := map[string]bool{}
 	for _, a := range r.Authorities() {
 		if a.Distrusted {
@@ -265,7 +258,7 @@ func (r *Registry) BuildStore(name string, counts StoreCounts, rng *rand.Rand) *
 		if a.NotInApple && name == "apple" {
 			continue
 		}
-		s.AddRoot(a.Root, a.Owner)
+		s.AddRoot(a.Root)
 		owners[a.Owner] = true
 		if a.EV {
 			s.TrustEVPolicy(a.EVPolicyOID)
@@ -277,7 +270,6 @@ func (r *Registry) BuildStore(name string, counts StoreCounts, rng *rand.Rand) *
 	}
 	for i := 0; s.Len() < counts.Roots; i++ {
 		ownerName := name + " filler owner " + strconv.Itoa(i%fillerOwners)
-		owners[ownerName] = true
 		key := cert.NewKey(rng, cert.KeyRSA, 4096)
 		cn := name + " Filler Root " + strconv.Itoa(i)
 		root := &cert.Certificate{
@@ -291,7 +283,7 @@ func (r *Registry) BuildStore(name string, counts StoreCounts, rng *rand.Rand) *
 			IsCA:               true,
 		}
 		root.Sign(key.ID)
-		s.AddRoot(root, ownerName)
+		s.AddRoot(root)
 	}
 	return s
 }

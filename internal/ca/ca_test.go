@@ -140,7 +140,7 @@ func TestSelfSignedHelper(t *testing.T) {
 	if !c.SelfSigned() {
 		t.Fatal("SelfSigned helper output not self-signed")
 	}
-	store := truststore.New("empty")
+	store := truststore.New()
 	v := &verify.Verifier{Store: store, Now: issueTime.AddDate(0, 1, 0)}
 	if res := v.Verify([]*cert.Certificate{c}, "site.gov.xx"); res.Code != verify.SelfSignedLeaf {
 		t.Errorf("self-signed verdict = %v", res.Code)
@@ -161,9 +161,6 @@ func TestBuildStoreCounts(t *testing.T) {
 		s := reg.BuildStore(tc.name, tc.counts, rng)
 		if s.Len() != tc.counts.Roots {
 			t.Errorf("%s roots = %d, want %d", tc.name, s.Len(), tc.counts.Roots)
-		}
-		if s.OwnerCount() != tc.counts.Owners {
-			t.Errorf("%s owners = %d, want %d", tc.name, s.OwnerCount(), tc.counts.Owners)
 		}
 	}
 }

@@ -48,9 +48,6 @@ type KeyID [16]byte
 // String renders the fingerprint in hex.
 func (id KeyID) String() string { return fmt.Sprintf("%x", id[:]) }
 
-// IsZero reports whether the fingerprint is unset.
-func (id KeyID) IsZero() bool { return id == KeyID{} }
-
 // PublicKey carries the key metadata the study analyzes (Figure 4/9/12).
 type PublicKey struct {
 	Type KeyType
@@ -156,8 +153,8 @@ type Certificate struct {
 
 	// Frozen caches of the wire encoding, TBS bytes and fingerprint,
 	// populated by Freeze (or by ParseChain, whose input already carries the
-	// encoding). Nil while the certificate is still being built; Sign and
-	// Clone reset them. Once set they are read-only, so a frozen certificate
+	// encoding). Nil while the certificate is still being built; Sign
+	// resets them. Once set they are read-only, so a frozen certificate
 	// is safe to share across goroutines.
 	enc []byte
 	tbs []byte
@@ -168,7 +165,7 @@ type Certificate struct {
 // fingerprint so Encode, Fingerprint and signature checks stop
 // re-serializing on every call. Call it once, from a single goroutine,
 // after the certificate reaches its final form; mutating an exported field
-// afterwards leaves the caches stale (Sign and Clone reset them).
+// afterwards leaves the caches stale (Sign resets them).
 func (c *Certificate) Freeze() {
 	if c.enc != nil {
 		return
@@ -325,14 +322,4 @@ func (c *Certificate) Fingerprint() [32]byte {
 		return *c.fp
 	}
 	return sha256.Sum256(c.Encode())
-}
-
-// Clone returns a deep copy of the certificate. The copy is mutable: the
-// frozen caches are not carried over.
-func (c *Certificate) Clone() *Certificate {
-	clone := *c
-	clone.DNSNames = append([]string(nil), c.DNSNames...)
-	clone.PolicyOIDs = append([]string(nil), c.PolicyOIDs...)
-	clone.enc, clone.tbs, clone.fp = nil, nil, nil
-	return &clone
 }

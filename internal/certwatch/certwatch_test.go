@@ -97,7 +97,7 @@ func TestGouvKeyword(t *testing.T) {
 func TestScanLog(t *testing.T) {
 	w := watcher()
 	r := rand.New(rand.NewSource(1))
-	log := ctlog.New("monitor")
+	log := ctlog.NewSized("monitor", 0)
 	at := time.Date(2020, 4, 1, 0, 0, 0, 0, time.UTC)
 
 	add := func(host string) {
@@ -239,7 +239,7 @@ func TestMatchEntry(t *testing.T) {
 func TestMatchEntryAgreesWithScanLog(t *testing.T) {
 	w := watcher()
 	r := rand.New(rand.NewSource(3))
-	log := ctlog.New("tail")
+	log := ctlog.NewSized("tail", 0)
 	at := time.Date(2020, 4, 1, 0, 0, 0, 0, time.UTC)
 	hosts := []string{
 		"etagov.sl", "legit.site.com", "eta.gov.lk",

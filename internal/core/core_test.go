@@ -115,8 +115,8 @@ func TestUseStore(t *testing.T) {
 	if err := s.UseStore("nss"); err != nil {
 		t.Fatal(err)
 	}
-	if s.Store().Name() != "nss" {
-		t.Errorf("store = %q", s.Store().Name())
+	if s.Store() != s.World.Stores["nss"] {
+		t.Error("Store() is not the nss store after UseStore(\"nss\")")
 	}
 	if err := s.UseStore("bogus"); err == nil {
 		t.Fatal("bogus store accepted")

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/resultset"
+	"repro/internal/scanner"
 	"repro/internal/world"
 )
 
@@ -31,6 +33,22 @@ func TestDatasetNamesCoverCorpora(t *testing.T) {
 	}
 	if _, err := s.Dataset(context.Background(), "atlantis"); err == nil {
 		t.Error("unknown dataset accepted")
+	}
+}
+
+// TestUSAAllMatchesUnionScan: usa:all, assembled from the per-key GSA
+// sets instead of scanned, equals a plain scan of their union in
+// AllHosts order, row for row.
+func TestUSAAllMatchesUnionScan(t *testing.T) {
+	for _, cfg := range []world.Config{world.TestConfig(), {Seed: 3, Scale: 0.05}} {
+		s := MustNewStudy(cfg)
+		ctx := context.Background()
+		sc := scanner.New(s.World.Net, s.World.DNS, s.World.Class, scanner.DefaultConfig(s.Store(), s.World.ScanTime))
+		want := resultset.New(sc.ScanAll(ctx, s.World.USA.AllHosts()), s.indexOptions())
+		if err := sameSet(s.USAAll(ctx), want); err != nil {
+			t.Fatalf("seed %d scale %g: %v", cfg.Seed, cfg.Scale, err)
+		}
+		t.Logf("seed %d scale %g: %d equal rows", cfg.Seed, cfg.Scale, want.Len())
 	}
 }
 

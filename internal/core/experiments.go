@@ -505,10 +505,7 @@ func runE7(ctx context.Context, s *Study) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	after, err := s.Dataset(ctx, "acmefleet")
-	if err != nil {
-		return "", err
-	}
+	after := s.scanFleetCorpus(ctx, rep)
 	var adopt, fixcert int
 	for _, h := range rep.Hosts {
 		if h.Reason == recommend.AdoptHTTPS {

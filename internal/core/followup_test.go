@@ -74,10 +74,9 @@ func TestFollowUpMatchesFullRescan(t *testing.T) {
 }
 
 // TestFleetReportLeavesWorldwidePatchLazy: once the campaign has run,
-// repeat FleetReport calls — including the one inside the acmefleet
-// dataset's build — must not resolve worldwide, so the campaign's patch
-// stays pending until a worldwide reader asks for it. That reader then
-// gets the post-campaign world.
+// repeat FleetReport calls and E7's fleet-corpus scan must not resolve
+// worldwide, so the campaign's patch stays pending until a worldwide
+// reader asks for it. That reader then gets the post-campaign world.
 func TestFleetReportLeavesWorldwidePatchLazy(t *testing.T) {
 	s := MustNewStudy(world.TestConfig())
 	ctx := context.Background()
@@ -91,9 +90,7 @@ func TestFleetReportLeavesWorldwidePatchLazy(t *testing.T) {
 	if _, _, err := s.FleetReport(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Dataset(ctx, "acmefleet"); err != nil {
-		t.Fatal(err)
-	}
+	s.scanFleetCorpus(ctx, rep)
 	for _, g := range s.Registry().Generations() {
 		if g.Name == "worldwide" && (g.Cached || g.Dirty == 0) {
 			t.Fatalf("worldwide after the campaign: %+v, want a pending patch", g)

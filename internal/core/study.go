@@ -50,9 +50,9 @@ type Study struct {
 	// entry atomically.
 	datasets *dataset.Registry
 
-	// fleetReport memoizes the §8.1 renewal-fleet campaign (E7/E8 and the
-	// acmefleet dataset all consume one run; the campaign mutates the
-	// serving world, so it must not repeat).
+	// fleetReport memoizes the §8.1 renewal-fleet campaign (E7 and E8
+	// consume one run; the campaign mutates the serving world, so it must
+	// not repeat).
 	fleetMu     sync.Mutex
 	fleetReport *acmefleet.Report
 	fleetChaos  acmefleet.ChaosOutcome
@@ -99,11 +99,6 @@ func NewStudy(cfg world.Config) (*Study, error) {
 	s.datasets.Register(dataset.Source{
 		Name:  "rok",
 		Hosts: func() []string { return s.World.ROK.Hosts },
-	})
-	s.datasets.Register(dataset.Source{
-		Name:  "acmefleet",
-		Hosts: func() []string { return s.fleetHosts() },
-		Build: func(ctx context.Context) (*resultset.Set, error) { return s.scanFleetCorpus(ctx) },
 	})
 	return s, nil
 }
@@ -253,7 +248,10 @@ func (s *Study) Dataset(ctx context.Context, name string) (*resultset.Set, error
 	return s.datasets.Get(ctx, name)
 }
 
-// DatasetNames lists the registered datasets in registration order.
+// DatasetNames lists the registered datasets in registration order:
+// "worldwide", one "usa:<key>" per GSA list, "usa:all" and "rok". Every
+// one is a read-only corpus; the renewal campaign E7/E8 run is not among
+// them (see FleetReport).
 func (s *Study) DatasetNames() []string { return s.datasets.Names() }
 
 // Registry exposes the dataset registry itself — the serving layer pins
@@ -459,32 +457,17 @@ func (s *Study) fleetConfig(enrolled int) acmefleet.Config {
 	}
 }
 
-// fleetHosts lists the campaign population (empty before the first
-// FleetReport call — the acmefleet dataset's Build hook runs the campaign
-// before any scan needs the list).
-func (s *Study) fleetHosts() []string {
-	s.fleetMu.Lock()
-	defer s.fleetMu.Unlock()
-	if s.fleetReport == nil {
-		return nil
-	}
-	hosts := make([]string, len(s.fleetReport.Hosts))
-	for i := range s.fleetReport.Hosts {
-		hosts[i] = s.fleetReport.Hosts[i].Hostname
-	}
-	return hosts
-}
-
-// scanFleetCorpus is the acmefleet dataset's Build hook: run the campaign
-// (memoized), then scan exactly the enrolled hosts — the post-campaign
-// ground truth E7 verifies adoption against. The scan runs at the
-// campaign-end instant, not the study scan time: fleet certificates have
-// mid-campaign NotBefore dates and would all be "not yet valid" at the
-// original instant.
-func (s *Study) scanFleetCorpus(ctx context.Context) (*resultset.Set, error) {
-	rep, _, err := s.FleetReport(ctx)
-	if err != nil {
-		return nil, err
+// scanFleetCorpus scans exactly the campaign's enrolled hosts — the
+// post-campaign ground truth E7 verifies adoption against. The scan runs
+// at the campaign-end instant, not the study scan time: fleet
+// certificates have mid-campaign NotBefore dates and would all be "not
+// yet valid" at the original instant. Nothing memoizes the set: E7 runs
+// once per suite, and a plain dataset read must never start the
+// campaign, which rewrites the world.
+func (s *Study) scanFleetCorpus(ctx context.Context, rep *acmefleet.Report) *resultset.Set {
+	hosts := make([]string, len(rep.Hosts))
+	for i := range rep.Hosts {
+		hosts[i] = rep.Hosts[i].Hostname
 	}
 	cfg := scanner.DefaultConfig(s.Store(), rep.Final().Time)
 	cfg.Seed = s.World.Cfg.Seed
@@ -492,7 +475,7 @@ func (s *Study) scanFleetCorpus(ctx context.Context) (*resultset.Set, error) {
 	cfg.VerifyCache = s.verifyCache
 	cfg.ChainCache = s.chainCache
 	sc := scanner.New(s.World.Net, s.World.DNS, s.World.Class, cfg)
-	return resultset.New(sc.ScanAll(ctx, s.fleetHosts()), s.indexOptions()), nil
+	return resultset.New(sc.ScanAll(ctx, hosts), s.indexOptions())
 }
 
 // LinkGraph extracts the world's hyperlink graph for the cross-government

@@ -1,6 +1,6 @@
 // Package ctlog implements a Certificate Transparency log in the style of
 // RFC 6962: an append-only Merkle tree over submitted certificates, with
-// signed tree heads, inclusion proofs and consistency proofs. The paper
+// tree heads, inclusion proofs and consistency proofs. The paper
 // (§2.2) relies on CT as the auditable record of issuance and notes that
 // even the largest CT view misses ~10% of certificates; the reproduction
 // submits most — not all — of the world's issued certificates and measures
@@ -12,8 +12,6 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -59,43 +57,24 @@ type Entry struct {
 	Timestamp time.Time
 }
 
-// SCT is a signed certificate timestamp, the log's promise to incorporate
-// the certificate. The signature is simulated the same way certificate
-// signatures are (see internal/cert).
-type SCT struct {
-	LogID     Hash
-	Timestamp time.Time
-	LeafHash  Hash
-	Signature Hash
-}
-
 // Log is an append-only RFC 6962-style certificate log.
 type Log struct {
 	mu      sync.RWMutex
 	name    string
-	logID   Hash
 	leaves  []Hash
 	entries []Entry
 	// known mirrors leaves as a set, maintained on Append so coverage
 	// checks don't rebuild it per call.
 	known map[Hash]bool
-	// byHost indexes entry positions by each DNS name on the certificate.
-	byHost map[string][]int
 }
 
-// New creates an empty log.
-func New(name string) *Log {
-	return NewSized(name, 0)
-}
-
-// NewSized is New with a capacity hint for the expected entry count.
+// NewSized creates an empty log with a capacity hint for the expected
+// entry count.
 func NewSized(name string, hint int) *Log {
 	return &Log{
 		name:    name,
-		logID:   LeafHash([]byte("ct-log-id:" + name)),
 		entries: make([]Entry, 0, hint),
 		known:   make(map[Hash]bool, hint),
-		byHost:  make(map[string][]int, hint),
 	}
 }
 
@@ -109,8 +88,8 @@ func (l *Log) Size() int {
 	return len(l.leaves)
 }
 
-// Append submits a certificate and returns its SCT.
-func (l *Log) Append(c *cert.Certificate, at time.Time) SCT {
+// Append submits a certificate.
+func (l *Log) Append(c *cert.Certificate, at time.Time) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	leaf := LeafHash(c.Encode())
@@ -118,24 +97,6 @@ func (l *Log) Append(c *cert.Certificate, at time.Time) SCT {
 	l.leaves = append(l.leaves, leaf)
 	l.entries = append(l.entries, Entry{Index: idx, Cert: c, Timestamp: at})
 	l.known[leaf] = true
-	for _, name := range c.Names() {
-		key := strings.ToLower(name)
-		l.byHost[key] = append(l.byHost[key], idx)
-	}
-	return SCT{
-		LogID:     l.logID,
-		Timestamp: at,
-		LeafHash:  leaf,
-		Signature: nodeHash(l.logID, leaf),
-	}
-}
-
-// VerifySCT checks that the SCT was produced by this log for the
-// certificate.
-func (l *Log) VerifySCT(c *cert.Certificate, sct SCT) bool {
-	leaf := LeafHash(c.Encode())
-	return sct.LogID == l.logID && sct.LeafHash == leaf &&
-		sct.Signature == nodeHash(l.logID, leaf)
 }
 
 // Root returns the Merkle tree hash of the current log.
@@ -310,31 +271,6 @@ func VerifyConsistency(oldRoot, newRoot Hash, m, n int, proof []Hash) bool {
 }
 
 func isPowerOfTwo(x int) bool { return x > 0 && x&(x-1) == 0 }
-
-// EntriesFor returns the logged entries covering the hostname, including
-// wildcard entries that match it.
-func (l *Log) EntriesFor(hostname string) []Entry {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	host := strings.ToLower(hostname)
-	seen := map[int]bool{}
-	var out []Entry
-	add := func(indexes []int) {
-		for _, i := range indexes {
-			if !seen[i] {
-				seen[i] = true
-				out = append(out, l.entries[i])
-			}
-		}
-	}
-	add(l.byHost[host])
-	// Wildcard coverage: *.parent entries match one extra label.
-	if dot := strings.IndexByte(host, '.'); dot >= 0 {
-		add(l.byHost["*."+host[dot+1:]])
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Index < out[j].Index })
-	return out
-}
 
 // Entries returns every entry, in log order.
 func (l *Log) Entries() []Entry {

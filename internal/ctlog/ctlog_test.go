@@ -28,7 +28,7 @@ func testCert(r *rand.Rand, host string) *cert.Certificate {
 func buildLog(t *testing.T, n int) (*Log, []*cert.Certificate) {
 	t.Helper()
 	r := rand.New(rand.NewSource(int64(n)))
-	l := New("test-log")
+	l := NewSized("test-log", 0)
 	var certs []*cert.Certificate
 	for i := 0; i < n; i++ {
 		c := testCert(r, hostN(i))
@@ -49,27 +49,9 @@ func TestAppendAndSize(t *testing.T) {
 	}
 }
 
-func TestSCTVerification(t *testing.T) {
-	r := rand.New(rand.NewSource(1))
-	l := New("a")
-	c := testCert(r, "x.gov.xx")
-	sct := l.Append(c, logTime)
-	if !l.VerifySCT(c, sct) {
-		t.Fatal("own SCT does not verify")
-	}
-	other := New("b")
-	if other.VerifySCT(c, sct) {
-		t.Fatal("SCT verified against the wrong log")
-	}
-	c2 := testCert(r, "y.gov.xx")
-	if l.VerifySCT(c2, sct) {
-		t.Fatal("SCT verified for the wrong certificate")
-	}
-}
-
 func TestRootChangesOnAppend(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
-	l := New("test")
+	l := NewSized("test", 0)
 	prev := l.Root()
 	for i := 0; i < 8; i++ {
 		l.Append(testCert(r, hostN(i)), logTime)
@@ -173,31 +155,9 @@ func TestConsistencyRejectsForkedLog(t *testing.T) {
 	}
 }
 
-func TestEntriesForHost(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	l := New("test")
-	c1 := testCert(r, "portal.gov.bd")
-	l.Append(c1, logTime)
-	// A wildcard covering one extra label.
-	wc := testCert(r, "ignored")
-	wc.DNSNames = []string{"*.portal.gov.bd"}
-	wc.Sign(wc.PublicKey.ID)
-	l.Append(wc, logTime)
-
-	if got := l.EntriesFor("portal.gov.bd"); len(got) != 1 {
-		t.Errorf("exact entries = %d, want 1", len(got))
-	}
-	if got := l.EntriesFor("forms.portal.gov.bd"); len(got) != 1 {
-		t.Errorf("wildcard-covered entries = %d, want 1", len(got))
-	}
-	if got := l.EntriesFor("unrelated.gov.bd"); len(got) != 0 {
-		t.Errorf("unrelated entries = %d, want 0", len(got))
-	}
-}
-
 func TestMeasureCoverage(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
-	l := New("test")
+	l := NewSized("test", 0)
 	var logged, all []*cert.Certificate
 	for i := 0; i < 20; i++ {
 		c := testCert(r, hostN(i))

@@ -1,11 +1,13 @@
 // Package dataset is the named-dataset registry behind core.Study: every
 // scan corpus the paper uses — `worldwide`, the GSA lists (`usa:<key>`,
 // `usa:all`), `rok` — is registered once under a stable name and scanned
-// lazily into an indexed resultset.Set on first Get. Results are
-// memoized per dataset; a trust-store switch invalidates every dataset
-// atomically (generation counters), so a scan that raced the switch is
-// discarded and redone under the new store instead of being cached under
-// the wrong one.
+// lazily into an indexed resultset.Set on first Get. A build only reads
+// the world: any reader, a serving request included, may trigger one, so
+// work that mutates the world (the renewal campaign) is never a dataset.
+// Results are memoized per dataset; a trust-store switch invalidates
+// every dataset atomically (generation counters), so a scan that raced
+// the switch is discarded and redone under the new store instead of
+// being cached under the wrong one.
 //
 // Concurrency contract: Get is safe from any number of goroutines.
 // Exactly one scan runs per (dataset, generation) — concurrent callers
@@ -34,9 +36,10 @@ type Source struct {
 	// change rebuilds the dataset in full.
 	Hosts func() []string
 	// Build, when non-nil, replaces the registry's ScanFunc for full
-	// builds of this dataset — the hook composite datasets (usa:all) use
-	// to assemble themselves from other cached datasets instead of
-	// rescanning. Patches after MarkDirty still scan.
+	// builds of this dataset — the hook usa:all uses to assemble itself
+	// from the cached per-key datasets instead of rescanning. Like a
+	// scan, it must not mutate the world. Patches after MarkDirty still
+	// scan.
 	Build func(ctx context.Context) (*resultset.Set, error)
 }
 
@@ -105,14 +108,6 @@ func (r *Registry) Names() []string {
 	out := make([]string, len(r.names))
 	copy(out, r.names)
 	return out
-}
-
-// Has reports whether name is registered.
-func (r *Registry) Has(name string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	_, ok := r.entries[name]
-	return ok
 }
 
 // Get returns the dataset's indexed results, scanning on first use (or
@@ -219,9 +214,6 @@ func (p *Pinned) Set() *resultset.Set { return p.set }
 // Generation returns the registry generation the snapshot was installed
 // under — unique per installed Set, so it is safe to embed in cache keys.
 func (p *Pinned) Generation() int { return p.gen }
-
-// Name returns the dataset name.
-func (p *Pinned) Name() string { return p.name }
 
 // Release drops the lease. Safe to call more than once; after the first
 // call the registry may forget a superseded generation.

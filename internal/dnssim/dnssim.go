@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -175,20 +174,6 @@ func (z *Zone) AllowsIssuance(hostname, caDomain string) bool {
 		}
 	}
 	return false
-}
-
-// Hostnames returns every hostname with at least one A record, sorted.
-func (z *Zone) Hostnames() []string {
-	z.mu.RLock()
-	defer z.mu.RUnlock()
-	out := make([]string, 0, len(z.records))
-	for h, rec := range z.records {
-		if rec.addr0.IsValid() {
-			out = append(out, h)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // CAACount returns how many domains carry at least one CAA record and how

@@ -123,14 +123,3 @@ func TestCAARecordValid(t *testing.T) {
 		}
 	}
 }
-
-func TestHostnamesSorted(t *testing.T) {
-	z := NewZone()
-	z.AddA("b.gov", ip("192.0.2.2"))
-	z.AddA("a.gov", ip("192.0.2.1"))
-	z.AddCAA("caa-only.gov", CAARecord{Tag: "issue", Value: "x.org"})
-	got := z.Hostnames()
-	if len(got) != 2 || got[0] != "a.gov" || got[1] != "b.gov" {
-		t.Fatalf("Hostnames = %v", got)
-	}
-}

@@ -98,17 +98,6 @@ func All() []Country {
 	return out
 }
 
-// Countries returns only sovereign countries (non-territories), sorted by code.
-func Countries() []Country {
-	var out []Country
-	for _, c := range All() {
-		if !c.Territory {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // Territories returns only dependent territories, sorted by code.
 func Territories() []Country {
 	var out []Country

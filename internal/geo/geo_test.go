@@ -92,10 +92,19 @@ func TestAllSortedAndUnique(t *testing.T) {
 }
 
 func TestCountriesExcludeTerritories(t *testing.T) {
-	for _, c := range Countries() {
+	territories := 0
+	for _, c := range All() {
 		if c.Territory {
-			t.Errorf("Countries() contains territory %q", c.Code)
+			territories++
 		}
+	}
+	for _, c := range Territories() {
+		if !c.Territory {
+			t.Errorf("Territories() contains country %q", c.Code)
+		}
+	}
+	if len(Territories()) != territories {
+		t.Errorf("Territories() = %d, All() has %d territories", len(Territories()), territories)
 	}
 	if len(Territories()) < 20 {
 		t.Errorf("Territories() = %d, want >= 20", len(Territories()))

@@ -90,16 +90,6 @@ func (c *Classifier) Classify(addr netip.Addr) (string, Kind) {
 	return "Private", Private
 }
 
-// Provider returns the provider with the given name.
-func (c *Classifier) Provider(name string) (*Provider, bool) {
-	for _, p := range c.providers {
-		if p.Name == name {
-			return p, true
-		}
-	}
-	return nil, false
-}
-
 func pfx(cidrs ...string) []netip.Prefix {
 	out := make([]netip.Prefix, 0, len(cidrs))
 	for _, c := range cidrs {

@@ -34,12 +34,14 @@ func TestDefaultClassification(t *testing.T) {
 }
 
 func TestProviderLookup(t *testing.T) {
-	c := DefaultClassifier()
-	p, ok := c.Provider("Cloudflare")
-	if !ok || p.Kind != CDN {
-		t.Fatalf("Provider(Cloudflare) = %+v, %v", p, ok)
+	byName := map[string]*Provider{}
+	for _, p := range DefaultClassifier().providers {
+		byName[p.Name] = p
 	}
-	if _, ok := c.Provider("Akamai"); ok {
+	if p, ok := byName["Cloudflare"]; !ok || p.Kind != CDN {
+		t.Fatalf("Cloudflare = %+v, %v", p, ok)
+	}
+	if _, ok := byName["Akamai"]; ok {
 		t.Fatal("Akamai must be absent (publishes no IP range list, §5.4)")
 	}
 }

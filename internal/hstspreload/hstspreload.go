@@ -30,9 +30,6 @@ func (l *List) Add(entry string) {
 	l.entries[strings.ToLower(strings.TrimPrefix(entry, "."))] = true
 }
 
-// Len reports the number of entries.
-func (l *List) Len() int { return len(l.entries) }
-
 // Covers reports whether the hostname falls under any preloaded entry
 // (exact match or suffix, label-aligned).
 func (l *List) Covers(hostname string) bool {

@@ -21,8 +21,8 @@ import (
 )
 
 // ChanLeak builds the analyzer, restricted to the given package paths
-// (exact import paths relative to nothing — full paths as Load reports
-// them).
+// (exact import paths relative to nothing — full paths as LoadWorkers
+// reports them).
 func ChanLeak(pkgPaths ...string) *Analyzer {
 	match := make(map[string]bool, len(pkgPaths))
 	for _, p := range pkgPaths {

@@ -32,10 +32,10 @@ var WallClockPackages = []string{
 }
 
 // LongRunningPackages are the packages whose goroutines live for a whole
-// suite run (fleet dispatch, the dataset pool, the scan worker pools, the
-// observatory loop, the query API and its load generator), plus the
-// result-set layer those builds feed and the experiment suite in core,
-// which spawns nothing today but stays policed so a future spawn there
+// suite run (fleet dispatch, the scan worker pools, the observatory loop,
+// the query API and its load generator), plus the dataset registry and
+// result-set layer those scans feed and the experiment suite in core,
+// which spawn nothing today but stay policed so a future spawn there
 // cannot leak; chanleak polices their spawn sites.
 var LongRunningPackages = []string{
 	"repro/internal/core",

@@ -43,23 +43,21 @@ type Package struct {
 	Info *types.Info
 }
 
-// Load resolves patterns relative to dir and returns the matched packages,
-// parsed and type-checked. Patterns may be plain relative directories
-// ("./internal/scanner", including paths inside testdata) or recursive
-// ("./...", "./internal/..."). Type errors in any matched package abort
-// the load: code that does not compile cannot be linted truthfully.
-func Load(dir string, patterns []string) ([]*Package, error) {
-	return LoadWorkers(dir, patterns, 0)
-}
-
 // maxLoadWorkers caps the automatic worker count: each worker carries its
 // own importer universe (a full re-typecheck of the module and the std
 // packages it touches), so memory grows linearly with workers and the
 // returns diminish past a handful.
 const maxLoadWorkers = 4
 
-// LoadWorkers is Load with an explicit type-checking worker count;
-// workers <= 0 selects min(GOMAXPROCS, 4). Each worker owns an
+// LoadWorkers resolves patterns relative to dir and returns the matched
+// packages, parsed and type-checked. Patterns may be plain relative
+// directories ("./internal/scanner", including paths inside testdata) or
+// recursive ("./...", "./internal/..."). Type errors in any matched
+// package abort the load: code that does not compile cannot be linted
+// truthfully.
+//
+// workers is the type-checking worker count; workers <= 0 selects
+// min(GOMAXPROCS, 4). Each worker owns an
 // independent file set and source importer — the std source importer is
 // not safe for concurrent use, and sharing one would serialize the pool —
 // so identical types in different packages may be distinct types.Object

@@ -77,9 +77,6 @@ type Transition struct {
 	From, To State
 }
 
-// Improved reports whether the transition moved toward valid https.
-func (t Transition) Improved() bool { return t.To > t.From }
-
 // Changes is the diff between two snapshots.
 type Changes struct {
 	// Improved lists hosts that moved toward valid https.

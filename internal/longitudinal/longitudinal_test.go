@@ -51,7 +51,7 @@ func TestDiffAfterRemediation(t *testing.T) {
 		t.Fatal("no steady hosts")
 	}
 	for _, tr := range c.Improved {
-		if !tr.Improved() {
+		if tr.To <= tr.From {
 			t.Fatalf("transition %+v in Improved but not improved", tr)
 		}
 	}
@@ -133,8 +133,8 @@ func TestTallyMatchesCapture(t *testing.T) {
 	if want := countStates(longitudinal.Capture(w.ScanTime, base)); p0 != want {
 		t.Fatalf("fresh set: Tally = %+v, Capture counts %+v", p0, want)
 	}
-	if p0.Total() != base.Len() {
-		t.Fatalf("fresh set: Tally covers %d hosts, corpus has %d", p0.Total(), base.Len())
+	if total := p0.Gone + p0.HTTPOnly + p0.Broken + p0.Valid; total != base.Len() {
+		t.Fatalf("fresh set: Tally covers %d hosts, corpus has %d", total, base.Len())
 	}
 
 	// Fix a handful of invalid hosts and rescan only those: a delta far

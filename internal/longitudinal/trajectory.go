@@ -20,9 +20,6 @@ type Point struct {
 	Valid    int
 }
 
-// Total is the population size at the sample.
-func (p Point) Total() int { return p.Gone + p.HTTPOnly + p.Broken + p.Valid }
-
 // Tally reduces an indexed scan straight to one sample of the adoption
 // curve: the same per-host classification as Capture, read from the
 // set's maintained Table 2 counts instead of a walk over its rows. The

@@ -154,14 +154,16 @@ func TestApplyDeltaIdentityAndErrors(t *testing.T) {
 
 // rotateLeaf returns r with a freshly issued leaf: a new serial and key
 // identity (so a new fingerprint and key ID) under the given issuer CN,
-// every other field unchanged. The certificates r shares are not touched.
+// re-signed by the same issuer key, every other field unchanged. The
+// certificates r shares are not touched.
 func rotateLeaf(r scanner.Result, gen int, issuerCN string) scanner.Result {
-	leaf := r.Chain[0].Clone()
+	leaf := *r.Chain[0]
 	leaf.SerialNumber = uint64(1)<<40 | uint64(gen)
 	binary.BigEndian.PutUint64(leaf.PublicKey.ID[:8], uint64(1)<<40|uint64(gen))
 	leaf.Issuer.CommonName = issuerCN
+	leaf.Sign(leaf.AuthorityKeyID) // drops the copied caches
 	leaf.Freeze()
-	r.Chain = append([]*cert.Certificate{leaf}, r.Chain[1:]...)
+	r.Chain = append([]*cert.Certificate{&leaf}, r.Chain[1:]...)
 	return r
 }
 

@@ -160,35 +160,37 @@ func (s *Server) Rejected() (query, export int64) {
 
 // queryParam returns the first value of key in the request's raw query
 // without materializing url.Values — r.URL.Query() allocates a map per
-// call, which is most of a cache hit's allocation budget. Unescaping
-// only allocates when the value actually carries escapes.
+// call, which is most of a cache hit's allocation budget. It keeps
+// url.ParseQuery's rules, so it reads what r.URL.Query().Get(key) would:
+// a pair with a semicolon or a malformed escape is skipped, a pair
+// without "=" has the empty value, and keys compare unescaped.
 func queryParam(r *http.Request, key string) string {
 	q := r.URL.RawQuery
-	for len(q) > 0 {
+	for q != "" {
 		var pair string
-		if i := strings.IndexByte(q, '&'); i >= 0 {
-			pair, q = q[:i], q[i+1:]
-		} else {
-			pair, q = q, ""
-		}
-		eq := strings.IndexByte(pair, '=')
-		if eq < 0 {
+		pair, q, _ = strings.Cut(q, "&")
+		if pair == "" || strings.IndexByte(pair, ';') >= 0 {
 			continue
 		}
-		if pair[:eq] != key {
+		k, v, _ := strings.Cut(pair, "=")
+		if k, ok := unescape(k); !ok || k != key {
 			continue
 		}
-		raw := pair[eq+1:]
-		if strings.IndexByte(raw, '%') < 0 && strings.IndexByte(raw, '+') < 0 {
-			return raw
+		if v, ok := unescape(v); ok {
+			return v
 		}
-		v, err := url.QueryUnescape(raw)
-		if err != nil {
-			return ""
-		}
-		return v
 	}
 	return ""
+}
+
+// unescape is url.QueryUnescape that allocates only when s actually
+// carries escapes.
+func unescape(s string) (string, bool) {
+	if strings.IndexByte(s, '%') < 0 && strings.IndexByte(s, '+') < 0 {
+		return s, true
+	}
+	v, err := url.QueryUnescape(s)
+	return v, err == nil
 }
 
 // tryAcquire takes a semaphore slot without blocking.

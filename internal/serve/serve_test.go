@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/resultset"
 	"repro/internal/serve"
 	"repro/internal/world"
@@ -292,6 +293,44 @@ func TestServeAgainstLiveApplyDelta(t *testing.T) {
 		if len(info.Pinned) != 0 {
 			t.Fatalf("dataset %s still has pinned generations after churn: %+v", info.Name, info.Pinned)
 		}
+	}
+}
+
+// TestReadNeverRunsRenewalCampaign: the §8.1 renewal campaign rewrites
+// the world (it rotates certificates and injects chaos faults), so no
+// dataset read may start it. A read of the campaign's corpus by name is
+// an unknown dataset: it answers 404 without a dial, and worldwide keeps
+// its generation and its clean set.
+func TestReadNeverRunsRenewalCampaign(t *testing.T) {
+	s := core.MustNewStudy(world.Config{Seed: 7, Scale: 0.02})
+	for _, name := range s.DatasetNames() {
+		if name == "acmefleet" {
+			t.Fatalf("registry lists acmefleet: %v", s.DatasetNames())
+		}
+	}
+	if _, err := s.Dataset(context.Background(), "worldwide"); err != nil {
+		t.Fatal(err)
+	}
+	worldwide := func() dataset.GenerationInfo {
+		for _, g := range s.Registry().Generations() {
+			if g.Name == "worldwide" {
+				return g
+			}
+		}
+		t.Fatal("worldwide not registered")
+		return dataset.GenerationInfo{}
+	}
+	before, dials := worldwide(), s.World.Net.DialCount()
+
+	rec := get(t, serve.New(s.Registry(), serve.Config{}).Handler(), "/v1/table2?dataset=acmefleet")
+	if rec.Code != http.StatusNotFound {
+		t.Fatalf("GET /v1/table2?dataset=acmefleet: status %d, want 404", rec.Code)
+	}
+	if after := worldwide(); after.Current != before.Current || after.Dirty != before.Dirty || !after.Cached {
+		t.Fatalf("worldwide after the read: %+v, before %+v", after, before)
+	}
+	if got := s.World.Net.DialCount(); got != dials {
+		t.Fatalf("the read dialed %d times", got-dials)
 	}
 }
 

@@ -54,7 +54,6 @@ func (Real) Sleep(ctx context.Context, d time.Duration) error {
 type Virtual struct {
 	mu      sync.Mutex
 	now     time.Time
-	start   time.Time
 	manual  bool
 	waiters []*waiter
 }
@@ -68,13 +67,13 @@ type waiter struct {
 // NewVirtual returns a collapsing virtual clock starting at start: Sleep
 // advances simulated time and returns immediately.
 func NewVirtual(start time.Time) *Virtual {
-	return &Virtual{now: start, start: start}
+	return &Virtual{now: start}
 }
 
 // NewManual returns a virtual clock whose Sleep blocks until Advance (or
 // Set) moves simulated time past the sleeper's deadline.
 func NewManual(start time.Time) *Virtual {
-	return &Virtual{now: start, start: start, manual: true}
+	return &Virtual{now: start, manual: true}
 }
 
 // Now implements Clock.
@@ -82,14 +81,6 @@ func (v *Virtual) Now() time.Time {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	return v.now
-}
-
-// Elapsed reports how much simulated time has passed since the clock was
-// created.
-func (v *Virtual) Elapsed() time.Duration {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.now.Sub(v.start)
 }
 
 // Sleep implements Clock. In collapsing mode it advances the clock by d and

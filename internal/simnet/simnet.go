@@ -1,8 +1,9 @@
 // Package simnet is the in-memory Internet the study runs against: IP
-// endpoints, listeners, a dialer, per-endpoint fault injection (connection
-// refused, reset, timeout) and a pluggable firewall modeling national
-// censorship (§7.1.2). Connections implement net.Conn with deadlines, so
-// protocol code written against real sockets runs unmodified.
+// endpoints served by registered handlers, a dialer, per-endpoint fault
+// injection (connection refused, reset, timeout) and a pluggable firewall
+// modeling national censorship (§7.1.2). Connections implement net.Conn
+// with deadlines, so protocol code written against real sockets runs
+// unmodified.
 //
 // Waiting time is collapsed: a blackholed endpoint fails the dial with a
 // timeout error immediately instead of consuming wall-clock time, which
@@ -127,16 +128,15 @@ type Handler func(conn net.Conn)
 
 // Network is the simulated Internet.
 type Network struct {
-	mu        sync.RWMutex
-	listeners map[netip.AddrPort]*Listener
-	handlers  map[netip.AddrPort]Handler
-	faults    map[netip.AddrPort]FaultSpec
-	dialSeq   map[netip.AddrPort]int64
-	firewall  FirewallFunc
-	clock     simclock.Clock
-	seed      int64
-	nextPort  uint16
-	dials     int64
+	mu       sync.RWMutex
+	handlers map[netip.AddrPort]Handler
+	faults   map[netip.AddrPort]FaultSpec
+	dialSeq  map[netip.AddrPort]int64
+	firewall FirewallFunc
+	clock    simclock.Clock
+	seed     int64
+	nextPort uint16
+	dials    int64
 }
 
 // New creates an empty network on a collapsing virtual clock (injected
@@ -150,12 +150,11 @@ func New() *Network {
 // maps up front avoids rehashing the tables a dozen times while it builds.
 func NewSized(hint int) *Network {
 	return &Network{
-		listeners: make(map[netip.AddrPort]*Listener),
-		handlers:  make(map[netip.AddrPort]Handler, hint),
-		faults:    make(map[netip.AddrPort]FaultSpec),
-		dialSeq:   make(map[netip.AddrPort]int64),
-		clock:     simclock.NewVirtual(time.Unix(0, 0)),
-		nextPort:  40000,
+		handlers: make(map[netip.AddrPort]Handler, hint),
+		faults:   make(map[netip.AddrPort]FaultSpec),
+		dialSeq:  make(map[netip.AddrPort]int64),
+		clock:    simclock.NewVirtual(time.Unix(0, 0)),
+		nextPort: 40000,
 	}
 }
 
@@ -178,10 +177,10 @@ func (n *Network) SetSeed(seed int64) {
 	n.seed = seed
 }
 
-// Handle registers a handler for an endpoint. Unlike Listen, a handler
-// consumes no goroutine until a connection arrives, which lets a simulated
-// world host hundreds of thousands of endpoints cheaply. A nil handler
-// removes the registration.
+// Handle registers a handler for an endpoint. A handler consumes no
+// goroutine until a connection arrives, which lets a simulated world host
+// hundreds of thousands of endpoints cheaply. A nil handler removes the
+// registration; dials to an endpoint without one are refused.
 func (n *Network) Handle(ep netip.AddrPort, h Handler) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -190,15 +189,6 @@ func (n *Network) Handle(ep netip.AddrPort, h Handler) {
 		return
 	}
 	n.handlers[ep] = h
-}
-
-// HasEndpoint reports whether a listener or handler is registered at ep.
-func (n *Network) HasEndpoint(ep netip.AddrPort) bool {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	_, l := n.listeners[ep]
-	_, h := n.handlers[ep]
-	return l || h
 }
 
 // SetFault installs a simple failure mode on an endpoint.
@@ -242,23 +232,6 @@ func (n *Network) DialCount() int64 {
 	return n.dials
 }
 
-// Listen opens a listener on the endpoint.
-func (n *Network) Listen(ep netip.AddrPort) (*Listener, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if _, busy := n.listeners[ep]; busy {
-		return nil, fmt.Errorf("simnet: address %s already in use", ep)
-	}
-	l := &Listener{
-		net:     n,
-		addr:    ep,
-		backlog: make(chan *Conn, 64),
-		done:    make(chan struct{}),
-	}
-	n.listeners[ep] = l
-	return l, nil
-}
-
 // Dial connects to an endpoint from the given vantage. It honours the
 // context, endpoint faults (permanent and transient), injected latency and
 // the firewall.
@@ -276,7 +249,6 @@ func (n *Network) Dial(ctx context.Context, fromVantage string, ep netip.AddrPor
 	fw := n.firewall
 	clock := n.clock
 	seed := n.seed
-	l := n.listeners[ep]
 	h := n.handlers[ep]
 	n.mu.Unlock()
 
@@ -311,7 +283,7 @@ func (n *Network) Dial(ctx context.Context, fromVantage string, ep netip.AddrPor
 		// truncate) do not interfere with the dial; they apply after the
 		// pipe exists.
 	}
-	if l == nil && h == nil {
+	if h == nil {
 		return dialErr(ErrConnRefused)
 	}
 
@@ -341,28 +313,8 @@ func (n *Network) Dial(ctx context.Context, fromVantage string, ep netip.AddrPor
 		// probabilistic) were consumed before the pipe was built.
 	}
 
-	if h != nil {
-		serveConn(h, server)
-		return client, nil
-	}
-
-	select {
-	case l.backlog <- server:
-		// The listener may have closed between the send and now; its Close
-		// drains the backlog, but a conn that slipped in after the drain
-		// must not be left half-open.
-		select {
-		case <-l.done:
-			server.Close()
-			return dialErr(ErrConnRefused)
-		default:
-		}
-		return client, nil
-	case <-l.done:
-		return nil, &net.OpError{Op: "dial", Net: "sim", Addr: Addr{ep}, Err: ErrConnRefused}
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
+	serveConn(h, server)
+	return client, nil
 }
 
 // failErr picks the error a transient fault fails with.
@@ -389,49 +341,6 @@ func dialChance(seed int64, ep netip.AddrPort, seq int64) float64 {
 	return float64(h.Sum64()>>11) / float64(1<<53)
 }
 
-// Listener accepts simulated connections.
-type Listener struct {
-	net       *Network
-	addr      netip.AddrPort
-	backlog   chan *Conn
-	done      chan struct{}
-	closeOnce sync.Once
-}
-
-// Accept waits for the next connection.
-func (l *Listener) Accept() (net.Conn, error) {
-	select {
-	case c := <-l.backlog:
-		return c, nil
-	case <-l.done:
-		return nil, ErrConnClosed
-	}
-}
-
-// Close stops the listener and removes it from the network. Connections
-// already queued in the backlog but never accepted are closed, so their
-// peers see EOF instead of hanging on a half-open conn.
-func (l *Listener) Close() error {
-	l.closeOnce.Do(func() {
-		close(l.done)
-		l.net.mu.Lock()
-		delete(l.net.listeners, l.addr)
-		l.net.mu.Unlock()
-		for {
-			select {
-			case c := <-l.backlog:
-				c.Close()
-			default:
-				return
-			}
-		}
-	})
-	return nil
-}
-
-// Addr returns the listener's endpoint.
-func (l *Listener) Addr() net.Addr { return Addr{l.addr} }
-
 // IsTimeout reports whether err represents a timed-out operation.
 func IsTimeout(err error) bool {
 	return errors.Is(err, ErrTimedOut) || errors.Is(err, context.DeadlineExceeded)
@@ -442,7 +351,3 @@ func IsRefused(err error) bool { return errors.Is(err, ErrConnRefused) }
 
 // IsReset reports whether err represents a reset connection.
 func IsReset(err error) bool { return errors.Is(err, ErrConnReset) }
-
-// IsFirewalled reports whether err represents a deterministic censorship
-// block; such failures never succeed on retry.
-func IsFirewalled(err error) bool { return errors.Is(err, ErrFirewalled) }

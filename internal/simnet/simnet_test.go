@@ -14,31 +14,16 @@ import (
 
 func ep(s string) netip.AddrPort { return netip.MustParseAddrPort(s) }
 
+// TestListenDialRoundtrip: bytes the dialer writes reach the endpoint's
+// handler, and the handler's reply reaches the dialer.
 func TestListenDialRoundtrip(t *testing.T) {
 	n := New()
-	l, err := n.Listen(ep("192.0.2.1:443"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-
-	done := make(chan error, 1)
-	go func() {
-		c, err := l.Accept()
-		if err != nil {
-			done <- err
-			return
-		}
-		defer c.Close()
+	n.Handle(ep("192.0.2.1:443"), func(c net.Conn) {
 		buf := make([]byte, 5)
-		if _, err := io.ReadFull(c, buf); err != nil {
-			done <- err
-			return
+		if _, err := io.ReadFull(c, buf); err == nil {
+			c.Write(append([]byte("re:"), buf...))
 		}
-		_, err = c.Write(append([]byte("re:"), buf...))
-		done <- err
-	}()
-
+	})
 	c, err := n.Dial(context.Background(), "lab", ep("192.0.2.1:443"))
 	if err != nil {
 		t.Fatal(err)
@@ -54,9 +39,6 @@ func TestListenDialRoundtrip(t *testing.T) {
 	if string(buf) != "re:hello" {
 		t.Fatalf("echo = %q", buf)
 	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestDialNoListenerRefused(t *testing.T) {
@@ -70,8 +52,7 @@ func TestDialNoListenerRefused(t *testing.T) {
 func TestFaultRefuse(t *testing.T) {
 	n := New()
 	addr := ep("192.0.2.2:443")
-	l, _ := n.Listen(addr)
-	defer l.Close()
+	n.Handle(addr, func(net.Conn) {})
 	n.SetFault(addr, FaultRefuse)
 	if _, err := n.Dial(context.Background(), "lab", addr); !IsRefused(err) {
 		t.Fatalf("err = %v, want refused", err)
@@ -99,8 +80,7 @@ func TestFaultTimeout(t *testing.T) {
 func TestFaultReset(t *testing.T) {
 	n := New()
 	addr := ep("192.0.2.4:443")
-	l, _ := n.Listen(addr)
-	defer l.Close()
+	n.Handle(addr, func(net.Conn) {})
 	n.SetFault(addr, FaultReset)
 	c, err := n.Dial(context.Background(), "lab", addr)
 	if err != nil {
@@ -115,8 +95,7 @@ func TestFaultReset(t *testing.T) {
 func TestFirewallBlocks(t *testing.T) {
 	n := New()
 	addr := ep("203.0.113.7:443")
-	l, _ := n.Listen(addr)
-	defer l.Close()
+	n.Handle(addr, func(net.Conn) {})
 	n.SetFirewall(func(from string, to netip.AddrPort) error {
 		if from == "outside" && to == addr {
 			return ErrFirewalled
@@ -137,41 +116,6 @@ func TestDialCancelledContext(t *testing.T) {
 	cancel()
 	if _, err := n.Dial(ctx, "lab", ep("192.0.2.5:443")); err == nil {
 		t.Fatal("dial with cancelled context succeeded")
-	}
-}
-
-func TestListenDuplicate(t *testing.T) {
-	n := New()
-	addr := ep("192.0.2.6:80")
-	l, err := n.Listen(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := n.Listen(addr); err == nil {
-		t.Fatal("duplicate listen succeeded")
-	}
-	l.Close()
-	if _, err := n.Listen(addr); err != nil {
-		t.Fatalf("listen after close: %v", err)
-	}
-}
-
-func TestListenerCloseUnblocksAccept(t *testing.T) {
-	n := New()
-	l, _ := n.Listen(ep("192.0.2.7:80"))
-	done := make(chan error, 1)
-	go func() {
-		_, err := l.Accept()
-		done <- err
-	}()
-	l.Close()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("Accept returned nil after close")
-		}
-	case <-time.After(time.Second):
-		t.Fatal("Accept did not unblock on close")
 	}
 }
 
@@ -224,14 +168,7 @@ func TestDeadlineClearedAllowsRead(t *testing.T) {
 func TestAddrReporting(t *testing.T) {
 	n := New()
 	addr := ep("192.0.2.8:443")
-	l, _ := n.Listen(addr)
-	defer l.Close()
-	go func() {
-		c, _ := l.Accept()
-		if c != nil {
-			c.Close()
-		}
-	}()
+	n.Handle(addr, func(net.Conn) {})
 	c, err := n.Dial(context.Background(), "lab", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -247,23 +184,12 @@ func TestAddrReporting(t *testing.T) {
 func TestConcurrentDials(t *testing.T) {
 	n := New()
 	addr := ep("192.0.2.10:443")
-	l, _ := n.Listen(addr)
-	defer l.Close()
-	go func() {
-		for {
-			c, err := l.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer c.Close()
-				buf := make([]byte, 1)
-				if _, err := io.ReadFull(c, buf); err == nil {
-					c.Write(buf)
-				}
-			}()
+	n.Handle(addr, func(c net.Conn) {
+		buf := make([]byte, 1)
+		if _, err := io.ReadFull(c, buf); err == nil {
+			c.Write(buf)
 		}
-	}()
+	})
 	var wg sync.WaitGroup
 	for i := 0; i < 50; i++ {
 		wg.Add(1)
@@ -297,9 +223,6 @@ func TestHandlerEndpoint(t *testing.T) {
 			c.Write([]byte("pong"))
 		}
 	})
-	if !n.HasEndpoint(addr) {
-		t.Fatal("HasEndpoint = false after Handle")
-	}
 	c, err := n.Dial(context.Background(), "lab", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -311,9 +234,6 @@ func TestHandlerEndpoint(t *testing.T) {
 		t.Fatalf("handler echo: %v %q", err, buf)
 	}
 	n.Handle(addr, nil)
-	if n.HasEndpoint(addr) {
-		t.Fatal("HasEndpoint = true after deregistration")
-	}
 	if _, err := n.Dial(context.Background(), "lab", addr); !IsRefused(err) {
 		t.Fatalf("dial after deregistration = %v, want refused", err)
 	}

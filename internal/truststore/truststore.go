@@ -6,39 +6,25 @@
 // number of certificates invalid that specific browsers would accept.
 package truststore
 
-import (
-	"sort"
-
-	"repro/internal/cert"
-)
+import "repro/internal/cert"
 
 // Store is a set of trusted root certificates indexed by key identity.
 type Store struct {
-	name    string
 	byKey   map[cert.KeyID]*cert.Certificate
-	owners  map[string]bool
 	evPolic map[string]bool
 }
 
-// New creates an empty store with the given display name.
-func New(name string) *Store {
+// New creates an empty store.
+func New() *Store {
 	return &Store{
-		name:    name,
 		byKey:   make(map[cert.KeyID]*cert.Certificate),
-		owners:  make(map[string]bool),
 		evPolic: make(map[string]bool),
 	}
 }
 
-// Name returns the store's display name (e.g. "apple").
-func (s *Store) Name() string { return s.name }
-
-// AddRoot trusts a root certificate, attributed to an owner organization.
-func (s *Store) AddRoot(root *cert.Certificate, owner string) {
+// AddRoot trusts a root certificate.
+func (s *Store) AddRoot(root *cert.Certificate) {
 	s.byKey[root.PublicKey.ID] = root
-	if owner != "" {
-		s.owners[owner] = true
-	}
 }
 
 // TrustEVPolicy registers a policy OID as a trusted EV policy, mirroring
@@ -68,34 +54,3 @@ func (s *Store) Contains(c *cert.Certificate) bool {
 
 // Len reports the number of trusted roots.
 func (s *Store) Len() int { return len(s.byKey) }
-
-// OwnerCount reports the number of distinct root CA owners.
-func (s *Store) OwnerCount() int { return len(s.owners) }
-
-// Roots returns the trusted roots sorted by subject for stable iteration.
-func (s *Store) Roots() []*cert.Certificate {
-	out := make([]*cert.Certificate, 0, len(s.byKey))
-	for _, c := range s.byKey {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		return out[i].Subject.String() < out[j].Subject.String()
-	})
-	return out
-}
-
-// Clone returns an independent copy of the store (used by the ablation
-// benches that add or remove roots).
-func (s *Store) Clone() *Store {
-	c := New(s.name)
-	for k, v := range s.byKey {
-		c.byKey[k] = v
-	}
-	for k := range s.owners {
-		c.owners[k] = true
-	}
-	for k := range s.evPolic {
-		c.evPolic[k] = true
-	}
-	return c
-}

@@ -24,25 +24,25 @@ func root(r *rand.Rand, cn string) *cert.Certificate {
 
 func TestAddContainsRemove(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
-	s := New("apple")
+	s := New()
 	ca := root(r, "Root A")
 	if s.Contains(ca) {
 		t.Fatal("empty store contains root")
 	}
-	s.AddRoot(ca, "Owner A")
+	s.AddRoot(ca)
 	if !s.Contains(ca) {
 		t.Fatal("store missing added root")
 	}
-	if s.Len() != 1 || s.OwnerCount() != 1 {
-		t.Errorf("Len=%d OwnerCount=%d", s.Len(), s.OwnerCount())
+	if s.Len() != 1 {
+		t.Errorf("Len = %d, want 1", s.Len())
 	}
 }
 
 func TestFindIssuer(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
-	s := New("test")
+	s := New()
 	ca := root(r, "Root A")
-	s.AddRoot(ca, "Owner A")
+	s.AddRoot(ca)
 
 	leafKey := cert.NewKey(r, cert.KeyRSA, 2048)
 	leaf := &cert.Certificate{
@@ -67,9 +67,9 @@ func TestFindIssuer(t *testing.T) {
 
 func TestFindIssuerRejectsForgedSignature(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
-	s := New("test")
+	s := New()
 	ca := root(r, "Root A")
-	s.AddRoot(ca, "Owner A")
+	s.AddRoot(ca)
 	leafKey := cert.NewKey(r, cert.KeyRSA, 2048)
 	leaf := &cert.Certificate{Subject: cert.Name{CommonName: "x.gov"}, PublicKey: leafKey}
 	leaf.Sign(ca.PublicKey.ID)
@@ -79,59 +79,13 @@ func TestFindIssuerRejectsForgedSignature(t *testing.T) {
 	}
 }
 
-func TestOwnerCountDistinct(t *testing.T) {
-	r := rand.New(rand.NewSource(4))
-	s := New("test")
-	s.AddRoot(root(r, "A1"), "Owner A")
-	s.AddRoot(root(r, "A2"), "Owner A")
-	s.AddRoot(root(r, "B1"), "Owner B")
-	if s.Len() != 3 {
-		t.Errorf("Len = %d, want 3", s.Len())
-	}
-	if s.OwnerCount() != 2 {
-		t.Errorf("OwnerCount = %d, want 2", s.OwnerCount())
-	}
-}
-
 func TestEVPolicies(t *testing.T) {
-	s := New("test")
+	s := New()
 	if s.IsTrustedEVPolicy("2.23.140.1.1") {
 		t.Fatal("empty store trusts EV policy")
 	}
 	s.TrustEVPolicy("2.23.140.1.1")
 	if !s.IsTrustedEVPolicy("2.23.140.1.1") {
 		t.Fatal("trusted EV policy not found")
-	}
-}
-
-func TestRootsSorted(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	s := New("test")
-	s.AddRoot(root(r, "Zulu Root"), "z")
-	s.AddRoot(root(r, "Alpha Root"), "a")
-	s.AddRoot(root(r, "Mike Root"), "m")
-	roots := s.Roots()
-	for i := 1; i < len(roots); i++ {
-		if roots[i-1].Subject.String() > roots[i].Subject.String() {
-			t.Fatalf("roots unsorted: %q > %q", roots[i-1].Subject, roots[i].Subject)
-		}
-	}
-}
-
-func TestCloneIndependence(t *testing.T) {
-	r := rand.New(rand.NewSource(6))
-	s := New("apple")
-	a := root(r, "A")
-	s.AddRoot(a, "Owner A")
-	s.TrustEVPolicy("1.2.3")
-	c := s.Clone()
-	if c.Name() != "apple" || c.Len() != 1 || !c.IsTrustedEVPolicy("1.2.3") {
-		t.Fatal("clone incomplete")
-	}
-	b := root(r, "B")
-	c.AddRoot(b, "Owner B")
-	c.TrustEVPolicy("4.5.6")
-	if s.Contains(b) || s.Len() != 1 || s.OwnerCount() != 1 || s.IsTrustedEVPolicy("4.5.6") {
-		t.Fatal("clone mutation leaked into original")
 	}
 }

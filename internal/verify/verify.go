@@ -89,16 +89,6 @@ type Result struct {
 // Valid reports whether the chain validated completely.
 func (r Result) Valid() bool { return r.Code == OK }
 
-// Has reports whether a particular failure was observed.
-func (r Result) Has(c Code) bool {
-	for _, e := range r.Errors {
-		if e == c {
-			return true
-		}
-	}
-	return false
-}
-
 // Verifier validates chains against a trust store.
 type Verifier struct {
 	// Store is the root trust store; the paper uses the Apple-shaped

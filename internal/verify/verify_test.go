@@ -2,6 +2,7 @@ package verify
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -48,8 +49,8 @@ func newPKI(t *testing.T, seed int64) *pki {
 	}
 	inter.Sign(rootKey.ID)
 
-	store := truststore.New("test")
-	store.AddRoot(root, "Test Trust")
+	store := truststore.New()
+	store.AddRoot(root)
 	return &pki{root: root, inter: inter, rootKey: rootKey, interKey: interKey, store: store, rng: r}
 }
 
@@ -160,7 +161,7 @@ func TestSelfSignedLeaf(t *testing.T) {
 		t.Errorf("Code = %v, want SelfSignedLeaf", res.Code)
 	}
 	// The hostname mismatch is also recorded as a secondary error.
-	if !res.Has(HostnameMismatch) {
+	if !slices.Contains(res.Errors, HostnameMismatch) {
 		t.Error("secondary HostnameMismatch not recorded")
 	}
 }
@@ -238,7 +239,7 @@ func TestExpiredBeatsHostnameMismatch(t *testing.T) {
 	if res.Code != CertificateExpired {
 		t.Errorf("primary = %v, want CertificateExpired", res.Code)
 	}
-	if !res.Has(HostnameMismatch) {
+	if !slices.Contains(res.Errors, HostnameMismatch) {
 		t.Error("HostnameMismatch missing from Errors")
 	}
 }
@@ -286,7 +287,7 @@ func TestOutOfOrderChain(t *testing.T) {
 func TestUntrustedStoreRejectsKnownChain(t *testing.T) {
 	p := newPKI(t, 16)
 	leaf := p.leaf("www.agency.gov", nil)
-	empty := truststore.New("empty")
+	empty := truststore.New()
 	v := &Verifier{Store: empty, Now: scanTime}
 	res := v.Verify([]*cert.Certificate{leaf, p.inter}, "www.agency.gov")
 	if res.Code != UnableToGetLocalIssuer {
@@ -312,7 +313,7 @@ func TestPropertyVerifyNeverPanicsAndIsDeterministic(t *testing.T) {
 	p := newPKI(t, 99)
 	base := p.leaf("www.agency.gov", nil)
 	f := func(dropInter, tamper, wrongHost, expire bool, serialDelta uint8) bool {
-		leaf := base.Clone()
+		leaf := *base // base is never frozen, so the copy carries no caches
 		if tamper {
 			leaf.SerialNumber += uint64(serialDelta) + 1
 		}
@@ -320,7 +321,7 @@ func TestPropertyVerifyNeverPanicsAndIsDeterministic(t *testing.T) {
 			leaf.NotAfter = scanTime.AddDate(0, 0, -1)
 			leaf.Sign(p.interKey.ID)
 		}
-		chain := []*cert.Certificate{leaf, p.inter}
+		chain := []*cert.Certificate{&leaf, p.inter}
 		if dropInter {
 			chain = chain[:1]
 		}

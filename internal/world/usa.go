@@ -36,16 +36,6 @@ func (u *USAData) AllHosts() []string {
 	return out
 }
 
-// Dataset returns the dataset with the given key.
-func (u *USAData) Dataset(key string) (GSADataset, bool) {
-	for _, d := range u.Datasets {
-		if d.Key == key {
-			return d, true
-		}
-	}
-	return GSADataset{}, false
-}
-
 // gsaRow carries one row of Tables A.1 + A.2: serving marginals and the
 // exact error-class counts (E5..E13).
 type gsaRow struct {

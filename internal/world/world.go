@@ -162,12 +162,6 @@ func (w *World) addSite(s *Site) {
 	w.Sites[s.Hostname] = s
 }
 
-// Host returns the site for a hostname.
-func (w *World) Host(hostname string) (*Site, bool) {
-	s, ok := w.Sites[hostname]
-	return s, ok
-}
-
 // CountryOf returns the country code for a hostname known to the world.
 func (w *World) CountryOf(hostname string) string {
 	if s, ok := w.Sites[hostname]; ok {
