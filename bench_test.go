@@ -130,7 +130,7 @@ func BenchmarkFigureA4Crawler(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c := crawler.New(&crawler.WebFetcher{Dialer: s.World.Net, Resolver: s.World.DNS, Vantage: "lab"})
+		c := crawler.New(&crawler.WebFetcher{Dialer: s.World.Net, Resolver: s.World.DNS})
 		hosts, _ := c.Crawl(ctx, s.World.SeedHosts)
 		if len(hosts) <= len(s.World.SeedHosts) {
 			b.Fatal("crawl did not expand")
@@ -253,7 +253,7 @@ func BenchmarkAblationCrawlDepth(b *testing.B) {
 			b.ResetTimer()
 			var last int
 			for i := 0; i < b.N; i++ {
-				c := crawler.New(&crawler.WebFetcher{Dialer: s.World.Net, Resolver: s.World.DNS, Vantage: "lab"})
+				c := crawler.New(&crawler.WebFetcher{Dialer: s.World.Net, Resolver: s.World.DNS})
 				c.MaxDepth = depth
 				hosts, _ := c.Crawl(ctx, s.World.SeedHosts)
 				last = len(hosts)
@@ -263,8 +263,9 @@ func BenchmarkAblationCrawlDepth(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSampling compares uniform vs rank-matched non-government
-// sampling (§5.5 / §7.1.3).
+// BenchmarkAblationSampling times the §5.5 / §7.1.3 rank comparison, which
+// draws the uniform, rank-matched and top non-government samples in one
+// call; there is no arm that draws one sample alone.
 func BenchmarkAblationSampling(b *testing.B) {
 	s := study(b)
 	ctx := context.Background()
@@ -420,7 +421,7 @@ func BenchmarkRenewalFleet(b *testing.B) {
 }
 
 // chaosFleet builds a private seed-42 world at the given scale, scans it,
-// injects the default chaos profile over the enrolled hosts and returns
+// injects the chaos profile over the enrolled hosts and returns
 // the campaign ready to Run.
 func chaosFleet(tb testing.TB, scale float64) *acmefleet.Fleet {
 	tb.Helper()
@@ -435,7 +436,7 @@ func chaosFleet(tb testing.TB, scale float64) *acmefleet.Fleet {
 	for k, e := range enrolled {
 		hosts[k] = e.Hostname
 	}
-	acmefleet.DefaultChaos().Apply(w, hosts, 42)
+	acmefleet.ApplyChaos(w, hosts, 42)
 	return acmefleet.New(w, set, acmefleet.Config{Seed: 42})
 }
 

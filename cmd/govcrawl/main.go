@@ -30,7 +30,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "govcrawl:", err)
 		os.Exit(1)
 	}
-	c := crawler.New(&crawler.WebFetcher{Dialer: w.Net, Resolver: w.DNS, Vantage: "lab"})
+	c := crawler.New(&crawler.WebFetcher{Dialer: w.Net, Resolver: w.DNS})
 	c.MaxDepth = *depth
 
 	hosts, stats := c.Crawl(context.Background(), w.SeedHosts)

@@ -59,7 +59,7 @@ func main() {
 		for i, e := range enrolled {
 			hosts[i] = e.Hostname
 		}
-		out := acmefleet.DefaultChaos().Apply(study.World, hosts, *seed)
+		out := acmefleet.ApplyChaos(study.World, hosts, *seed)
 		fmt.Printf("chaos: %d flaky, %d truncating, %d CAA-denied hosts\n",
 			len(out.Flaky), len(out.Truncated), len(out.CAADenied))
 	}

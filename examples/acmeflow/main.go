@@ -74,7 +74,6 @@ func main() {
 		Server:     apiAddr,
 		ServerName: "acme-v02.api.letsencrypt.org",
 		Net:        network,
-		Vantage:    "webmaster",
 		Provision: func(hostname, token string) error {
 			mu.Lock()
 			defer mu.Unlock()

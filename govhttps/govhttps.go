@@ -33,7 +33,8 @@ import (
 )
 
 // Config controls world generation: Seed (determinism), Scale (1.0 = the
-// paper's 135,408-hostname study) and ScanTime.
+// paper's 135,408-hostname study) and Flakiness (transient faults on part
+// of the https estate).
 type Config = world.Config
 
 // Study is a built world plus cached scans; see NewStudy.
@@ -117,11 +118,7 @@ func RenderSummary(tab analysis.Table2) string { return report.Table2(tab) }
 // Crawl runs the 7-level dataset-expansion crawl from the study's seed
 // list and returns the discovered hosts plus per-level statistics.
 func Crawl(ctx context.Context, s *Study) ([]string, crawler.Stats) {
-	c := crawler.New(&crawler.WebFetcher{
-		Dialer:   s.World.Net,
-		Resolver: s.World.DNS,
-		Vantage:  "lab",
-	})
+	c := crawler.New(&crawler.WebFetcher{Dialer: s.World.Net, Resolver: s.World.DNS})
 	return c.Crawl(ctx, s.World.SeedHosts)
 }
 

@@ -47,7 +47,7 @@ var (
 
 // Dialer abstracts the network (satisfied by *simnet.Network).
 type Dialer interface {
-	Dial(ctx context.Context, fromVantage string, ep netip.AddrPort) (net.Conn, error)
+	Dial(ctx context.Context, ep netip.AddrPort) (net.Conn, error)
 }
 
 // RateLimits is the server's Let's Encrypt-style admission policy for new
@@ -494,7 +494,7 @@ func (s *Server) validateHTTP01(ctx context.Context, hostname, token string) err
 	if err != nil || len(addrs) == 0 {
 		return fmt.Errorf("%w: %s does not resolve", ErrChallenge, hostname)
 	}
-	conn, err := s.Net.Dial(ctx, "acme-va", netip.AddrPortFrom(addrs[0], 80))
+	conn, err := s.Net.Dial(ctx, netip.AddrPortFrom(addrs[0], 80))
 	if err != nil {
 		return fmt.Errorf("%w: %s: %v", ErrChallenge, hostname, err)
 	}

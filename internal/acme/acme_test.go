@@ -59,7 +59,6 @@ func newHarness(t *testing.T) *harness {
 		Server:     acmeAPI,
 		ServerName: "acme-v02.api.letsencrypt.org",
 		Net:        h.net,
-		Vantage:    "webmaster",
 		Provision:  h.provision,
 	}
 	return h
@@ -228,7 +227,7 @@ func TestBadKeyIDRejected(t *testing.T) {
 
 func TestHTTPAPIRejectsGarbage(t *testing.T) {
 	h := newHarness(t)
-	conn, err := h.net.Dial(context.Background(), "lab", acmeAPI)
+	conn, err := h.net.Dial(context.Background(), acmeAPI)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,8 +27,6 @@ type Client struct {
 	ServerName string
 	// Net dials the API.
 	Net Dialer
-	// Vantage labels the client's network position.
-	Vantage string
 	// Provision publishes the challenge token at
 	// http://<hostname>/.well-known/acme-challenge/<token> — typically by
 	// installing content on the host's web server. It must return once the
@@ -120,7 +118,7 @@ func (c *Client) post(ctx context.Context, path string, body []byte) (*httpsim.R
 		ac = nil
 	}
 	if ac == nil {
-		conn, err := c.Net.Dial(ctx, c.Vantage, c.Server)
+		conn, err := c.Net.Dial(ctx, c.Server)
 		if err != nil {
 			return nil, fmt.Errorf("acme: dialing CA: %w", err)
 		}

@@ -23,9 +23,9 @@ type dialCounter struct {
 	n atomic.Int64
 }
 
-func (d *dialCounter) Dial(ctx context.Context, from string, ep netip.AddrPort) (net.Conn, error) {
+func (d *dialCounter) Dial(ctx context.Context, ep netip.AddrPort) (net.Conn, error) {
 	d.n.Add(1)
-	return d.Dialer.Dial(ctx, from, ep)
+	return d.Dialer.Dial(ctx, ep)
 }
 
 func countDials(h *harness) *dialCounter {
@@ -39,7 +39,7 @@ func countDials(h *harness) *dialCounter {
 // carries Connection: close gets it echoed and the connection closed.
 func TestServerKeepAlive(t *testing.T) {
 	h := newHarness(t)
-	conn, err := h.net.Dial(context.Background(), "lab", acmeAPI)
+	conn, err := h.net.Dial(context.Background(), acmeAPI)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,8 +189,8 @@ func TestClientRedialsAfterTransportError(t *testing.T) {
 	h.addSite(t, "portal.gov.br", "190.10.0.1")
 	var mu sync.Mutex
 	var clientEnds []net.Conn
-	h.client.Net = dialFunc(func(ctx context.Context, from string, ep netip.AddrPort) (net.Conn, error) {
-		conn, err := dials.Dial(ctx, from, ep)
+	h.client.Net = dialFunc(func(ctx context.Context, ep netip.AddrPort) (net.Conn, error) {
+		conn, err := dials.Dial(ctx, ep)
 		mu.Lock()
 		clientEnds = append(clientEnds, conn)
 		mu.Unlock()
@@ -217,8 +217,8 @@ func TestClientRedialsAfterTransportError(t *testing.T) {
 }
 
 // dialFunc adapts a function to acme.Dialer.
-type dialFunc func(ctx context.Context, from string, ep netip.AddrPort) (net.Conn, error)
+type dialFunc func(ctx context.Context, ep netip.AddrPort) (net.Conn, error)
 
-func (f dialFunc) Dial(ctx context.Context, from string, ep netip.AddrPort) (net.Conn, error) {
-	return f(ctx, from, ep)
+func (f dialFunc) Dial(ctx context.Context, ep netip.AddrPort) (net.Conn, error) {
+	return f(ctx, ep)
 }

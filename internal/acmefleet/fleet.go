@@ -145,39 +145,39 @@ func Classify(err error) ErrClass {
 // Terminal reports whether the class never clears with retries.
 func (c ErrClass) Terminal() bool { return c == ErrCAA || c == ErrKeyReuse }
 
+// The campaign's fixed renewal posture.
+const (
+	// renewWindow is how long before expiry a renewal comes due: common
+	// ACME client practice for 90-day certificates.
+	renewWindow = 30 * 24 * time.Hour
+	// backoffBase and backoffMax shape the retry schedule after transient
+	// failures: exponential doubling with deterministic jitter, the
+	// scanner's shape on the fleet's timescale.
+	backoffBase = 6 * time.Hour
+	backoffMax  = 4 * 24 * time.Hour
+	// failureBudget is how many consecutive transient failures park a
+	// host.
+	failureBudget = 4
+	// probation is the parked cooldown before a probe attempt.
+	probation = 10 * 24 * time.Hour
+	// maxProbes bounds probation probes; when they run out the host is
+	// parked for good.
+	maxProbes = 2
+)
+
 // Config tunes one campaign. The zero value of every field has a usable
-// default; Seed and Start should be set deliberately.
+// default; Seed should be set deliberately. The campaign starts at the
+// world's scan time.
 type Config struct {
 	// Seed drives backoff jitter and per-host key derivation.
 	Seed int64
-	// Start is the campaign start on the virtual timeline (default: the
-	// world's scan time when constructed via New).
-	Start time.Time
 	// Horizon is the simulated campaign length (default 120 days).
 	Horizon time.Duration
 	// Tick is the scheduler granularity (default 24h).
 	Tick time.Duration
-	// RenewWindow is how long before expiry a renewal comes due
-	// (default 30 days, matching common ACME client defaults for 90-day
-	// certificates).
-	RenewWindow time.Duration
 	// Workers is the order-dispatch concurrency per tick (default 4).
 	// Output is byte-identical at any value.
 	Workers int
-	// BackoffBase/BackoffMax shape the retry schedule after transient
-	// failures: exponential doubling with deterministic jitter, the
-	// scanner's shape on the fleet's timescale (defaults 6h, 4 days).
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// FailureBudget is how many consecutive transient failures park a
-	// host (default 4).
-	FailureBudget int
-	// Probation is the parked cooldown before a probe attempt
-	// (default 10 days).
-	Probation time.Duration
-	// MaxProbes bounds probation probes; when they run out the host is
-	// parked for good (default 2).
-	MaxProbes int
 	// Limits is the server-side admission policy, mirrored client-side
 	// so the fleet paces itself instead of harvesting 429s.
 	Limits acme.RateLimits
@@ -190,28 +190,8 @@ func (c Config) withDefaults() Config {
 	if c.Tick <= 0 {
 		c.Tick = 24 * time.Hour
 	}
-	if c.RenewWindow <= 0 {
-		c.RenewWindow = 30 * 24 * time.Hour
-	}
 	if c.Workers <= 0 {
 		c.Workers = 4
-	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = 6 * time.Hour
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = 4 * 24 * time.Hour
-	}
-	if c.FailureBudget <= 0 {
-		c.FailureBudget = 4
-	}
-	if c.Probation <= 0 {
-		c.Probation = 10 * 24 * time.Hour
-	}
-	if c.MaxProbes < 0 {
-		c.MaxProbes = 0
-	} else if c.MaxProbes == 0 {
-		c.MaxProbes = 2
 	}
 	return c
 }
@@ -249,6 +229,7 @@ type Fleet struct {
 	// independent of worker interleaving.
 	Clock *simclock.Virtual
 
+	start  time.Time    // campaign start: the world's scan time at New
 	hosts  []*hostState // sorted by hostname, fixed after enrollment
 	byName map[string]*hostState
 	queue  dueHeap
@@ -283,11 +264,8 @@ type hostState struct {
 // simulated network, enrolls every host the scan recommends AdoptHTTPS or
 // FixCertificate for, and schedules them all due at campaign start.
 func New(w *world.World, set *resultset.Set, cfg Config) *Fleet {
-	if cfg.Start.IsZero() {
-		cfg.Start = w.ScanTime
-	}
 	cfg = cfg.withDefaults()
-	clk := simclock.NewManual(cfg.Start)
+	clk := simclock.NewManual(w.ScanTime)
 	srv := acme.NewServer(w.CAs.MustLookup(CAName), caDomain, w.DNS, w.Net, clk)
 	srv.EnforceKeyReuse = true
 	srv.Limits = cfg.Limits
@@ -298,6 +276,7 @@ func New(w *world.World, set *resultset.Set, cfg Config) *Fleet {
 		Estate:     w,
 		Server:     srv,
 		Clock:      clk,
+		start:      w.ScanTime,
 		byName:     make(map[string]*hostState),
 		nextDomain: make(map[string]time.Time),
 		mirror:     limiter{lim: cfg.Limits},
@@ -306,7 +285,6 @@ func New(w *world.World, set *resultset.Set, cfg Config) *Fleet {
 		Server:     APIAddr,
 		ServerName: "acme-v02.api.letsencrypt.org",
 		Net:        w.Net,
-		Vantage:    "fleet",
 		Provision: func(hostname, token string) error {
 			if !f.Estate.SetChallenge(hostname, token) {
 				return fmt.Errorf("acmefleet: %s unknown to estate", hostname)
@@ -331,7 +309,7 @@ func (f *Fleet) enroll(hostname string, reason recommend.Rule) {
 		rank:     len(f.hosts),
 		reason:   reason,
 		key:      hostKey(f.Cfg.Seed, hostname),
-		due:      f.Cfg.Start,
+		due:      f.start,
 	}
 	f.hosts = append(f.hosts, h)
 	f.byName[hostname] = h
@@ -398,7 +376,7 @@ func (f *Fleet) Run(ctx context.Context) *Report {
 	for i := 0; i <= ticks && ctx.Err() == nil; i++ {
 		// Nominal tick time: never a live clock read, so snapshots are
 		// independent of in-tick latency bookkeeping.
-		now := f.Cfg.Start.Add(time.Duration(i) * f.Cfg.Tick)
+		now := f.start.Add(time.Duration(i) * f.Cfg.Tick)
 		f.Clock.SetTime(now)
 
 		due := f.popDue(now)
@@ -525,7 +503,7 @@ func (f *Fleet) apply(h *hostState, o outcome, now time.Time) {
 		// Zero-downtime deploy happens here, on the scheduler goroutine:
 		// handler swaps stay in a deterministic order.
 		f.Estate.RotateCert(h.hostname, o.chain)
-		h.due = h.expiry.Add(-f.Cfg.RenewWindow)
+		h.due = h.expiry.Add(-renewWindow)
 		if min := now.Add(f.Cfg.Tick); h.due.Before(min) {
 			h.due = min // very short lifetimes still wait a tick
 		}
@@ -564,59 +542,27 @@ func (f *Fleet) apply(h *hostState, o outcome, now time.Time) {
 	case h.state == FleetParked:
 		// A failed probation probe re-opens the breaker immediately —
 		// the scanner's half-open shape on the fleet timescale.
-		if h.probes >= f.Cfg.MaxProbes {
+		if h.probes >= maxProbes {
 			h.terminal = true // probation exhausted: parked for good
 			return
 		}
 		h.probes++
-		h.due = now.Add(f.Cfg.Probation)
+		h.due = now.Add(probation)
 		heap.Push(&f.queue, h)
 
 	default:
 		h.fails++
-		if h.fails >= f.Cfg.FailureBudget {
+		if h.fails >= failureBudget {
 			// Budget exhausted: park and schedule the first probe.
 			h.state = FleetParked
-			if f.Cfg.MaxProbes <= 0 {
-				h.terminal = true
-				return
-			}
 			h.probes = 1
-			h.due = now.Add(f.Cfg.Probation)
+			h.due = now.Add(probation)
 			heap.Push(&f.queue, h)
 			return
 		}
-		h.due = now.Add(f.backoff(h.hostname, h.fails-1))
+		h.due = now.Add(simclock.Backoff(backoffBase, backoffMax, f.Cfg.Seed, h.fails-1, []byte(h.hostname)))
 		heap.Push(&f.queue, h)
 	}
-}
-
-// backoff reuses the scanner's retry shape on the fleet's timescale:
-// exponential doubling from BackoffBase capped at BackoffMax, scaled by a
-// deterministic jitter in [0.5, 1.5) hashed from seed, attempt and
-// hostname — decorrelated across hosts with no shared RNG.
-func (f *Fleet) backoff(hostname string, attempt int) time.Duration {
-	base := f.Cfg.BackoffBase
-	if base <= 0 {
-		return 0
-	}
-	if attempt > 30 {
-		attempt = 30
-	}
-	d := base << uint(attempt)
-	if f.Cfg.BackoffMax > 0 && d > f.Cfg.BackoffMax {
-		d = f.Cfg.BackoffMax
-	}
-	h := fnv.New64a()
-	var buf [16]byte
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(f.Cfg.Seed >> (8 * i))
-		buf[8+i] = byte(int64(attempt) >> (8 * i))
-	}
-	h.Write(buf[:])
-	h.Write([]byte(hostname))
-	frac := float64(h.Sum64()>>11) / float64(1<<53)
-	return time.Duration(float64(d) * (0.5 + frac))
 }
 
 // limiter mirrors acme.RateLimits client-side: the fleet admits at most

@@ -28,18 +28,15 @@ func fixture(tb testing.TB, seed int64) (*world.World, *resultset.Set) {
 	return w, resultset.New(sc.ScanAll(context.Background(), w.GovHosts), resultset.Options{CountryOf: w.CountryOf})
 }
 
-// quickConfig keeps campaigns short: 30 simulated days at 12h ticks.
+// quickConfig keeps campaigns short: 30 simulated days at 12h ticks,
+// long enough for a persistently failing host to spend its failure
+// budget and both probation probes.
 func quickConfig(seed int64) Config {
 	return Config{
-		Seed:          seed,
-		Horizon:       30 * 24 * time.Hour,
-		Tick:          12 * time.Hour,
-		Workers:       4,
-		BackoffBase:   6 * time.Hour,
-		BackoffMax:    2 * 24 * time.Hour,
-		FailureBudget: 3,
-		Probation:     3 * 24 * time.Hour,
-		MaxProbes:     2,
+		Seed:    seed,
+		Horizon: 30 * 24 * time.Hour,
+		Tick:    12 * time.Hour,
+		Workers: 4,
 	}
 }
 
@@ -82,7 +79,7 @@ func TestDueQueueTiesPopInHostnameOrder(t *testing.T) {
 		}
 		return true
 	}
-	all := f.popDue(f.Cfg.Start)
+	all := f.popDue(w.ScanTime)
 	if len(all) != len(f.hosts) || len(all) < 20 {
 		t.Fatalf("popped %d of %d enrolled hosts", len(all), len(f.hosts))
 	}
@@ -92,7 +89,7 @@ func TestDueQueueTiesPopInHostnameOrder(t *testing.T) {
 
 	// Re-queue in reverse, alternating two due times: each band must pop
 	// in hostname order, the earlier band first.
-	early, late := f.Cfg.Start.Add(time.Hour), f.Cfg.Start.Add(2*time.Hour)
+	early, late := w.ScanTime.Add(time.Hour), w.ScanTime.Add(2*time.Hour)
 	for i := len(all) - 1; i >= 0; i-- {
 		all[i].due = late
 		if i%2 == 0 {
@@ -203,7 +200,7 @@ func TestFaultMatrix(t *testing.T) {
 
 	// Mid-handshake reset and truncation are persistent: the failure
 	// budget parks the host, probation probes fail too, terminal parked.
-	wantAttempts := 3 + 2 // FailureBudget + MaxProbes
+	wantAttempts := failureBudget + maxProbes
 	for _, h := range []string{midHS, trunc} {
 		st := findStatus(t, rep, h)
 		if st.State != FleetParked || !st.Terminal {
@@ -327,18 +324,18 @@ func TestProbationRecovery(t *testing.T) {
 	enrolled := Enroll(set)
 	victim := enrolled[0].Hostname
 	s := w.Sites[victim]
-	// Exactly FailureBudget resets: the budget parks the host, and the
+	// Exactly failureBudget resets: the budget parks the host, and the
 	// probation probe hits a recovered service.
 	w.Net.SetFaultSpec(netip.AddrPortFrom(s.IP, 80),
-		simnet.FaultSpec{Mode: simnet.FaultFlaky, FailCount: 3})
+		simnet.FaultSpec{Mode: simnet.FaultFlaky, FailCount: failureBudget})
 	f := New(w, set, quickConfig(41))
 	rep := f.Run(context.Background())
 	st := findStatus(t, rep, victim)
 	if st.State != FleetRenewed || st.Renewals == 0 {
 		t.Fatalf("victim: %+v, want renewed after probation", st)
 	}
-	if st.Attempts != 4 {
-		t.Errorf("victim attempts = %d, want 4 (3 failures + successful probe)", st.Attempts)
+	if st.Attempts != failureBudget+1 {
+		t.Errorf("victim attempts = %d, want %d (%d failures + successful probe)", st.Attempts, failureBudget+1, failureBudget)
 	}
 }
 
@@ -377,7 +374,7 @@ func TestChaosErrorDecay(t *testing.T) {
 	for i, e := range enrolled {
 		hosts[i] = e.Hostname
 	}
-	out := DefaultChaos().Apply(w, hosts, 41)
+	out := ApplyChaos(w, hosts, 41)
 	if len(out.Flaky) == 0 || len(out.CAADenied) == 0 {
 		t.Fatalf("chaos landed on too few hosts: %d flaky, %d denied, %d truncated",
 			len(out.Flaky), len(out.CAADenied), len(out.Truncated))

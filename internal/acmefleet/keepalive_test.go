@@ -38,10 +38,10 @@ func watch(w *world.World, f *Fleet) *apiProbe {
 
 // Dial is the client's API dialer: a connection that comes up is tracked
 // until the client closes it, and its handler until it returns.
-func (p *apiProbe) Dial(ctx context.Context, from string, ep netip.AddrPort) (net.Conn, error) {
+func (p *apiProbe) Dial(ctx context.Context, ep netip.AddrPort) (net.Conn, error) {
 	p.apiDials.Add(1)
 	p.serving.Add(1)
-	conn, err := p.net.Dial(ctx, from, ep)
+	conn, err := p.net.Dial(ctx, ep)
 	if err != nil {
 		p.serving.Done() // no connection, so no handler
 		return nil, err
@@ -69,9 +69,9 @@ func (p *apiProbe) waitHandlers(t *testing.T) {
 // vaCounter is the CA's validation dialer.
 type vaCounter struct{ p *apiProbe }
 
-func (v vaCounter) Dial(ctx context.Context, from string, ep netip.AddrPort) (net.Conn, error) {
+func (v vaCounter) Dial(ctx context.Context, ep netip.AddrPort) (net.Conn, error) {
 	v.p.vaDials.Add(1)
-	return v.p.net.Dial(ctx, from, ep)
+	return v.p.net.Dial(ctx, ep)
 }
 
 // trackedConn counts itself out of open on its first Close.

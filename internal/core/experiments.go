@@ -272,7 +272,7 @@ func runFA3(ctx context.Context, s *Study) (string, error) {
 }
 
 func runFA4(ctx context.Context, s *Study) (string, error) {
-	c := crawler.New(&crawler.WebFetcher{Dialer: s.World.Net, Resolver: s.World.DNS, Vantage: "lab"})
+	c := crawler.New(&crawler.WebFetcher{Dialer: s.World.Net, Resolver: s.World.DNS})
 	_, stats := c.Crawl(ctx, s.World.SeedHosts)
 	return report.Crawl(stats), nil
 }

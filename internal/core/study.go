@@ -227,15 +227,24 @@ func (s *Study) SetBreaker(b *scanner.Breaker) {
 // (store, journal, breaker, shared caches), snapshotted atomically.
 func (s *Study) Scanner() *scanner.Scanner {
 	s.mu.Lock()
-	cfg := scanner.DefaultConfig(s.World.Stores[s.storeInUse], s.World.ScanTime)
+	cfg := s.scanConfig(s.World.Stores[s.storeInUse], s.World.ScanTime)
 	cfg.Journal = s.journal
 	cfg.Breaker = s.breaker
 	s.mu.Unlock()
+	return scanner.New(s.World.Net, s.World.DNS, s.World.Class, cfg)
+}
+
+// scanConfig is the configuration every study scan shares: chains
+// validated against store at instant now, backoff jittered by the study
+// seed on the world clock, and the study's caches. Callers add their
+// journal or breaker.
+func (s *Study) scanConfig(store *truststore.Store, now time.Time) scanner.Config {
+	cfg := scanner.DefaultConfig(store, now)
 	cfg.Seed = s.World.Cfg.Seed
 	cfg.Clock = s.World.Clock
 	cfg.VerifyCache = s.verifyCache
 	cfg.ChainCache = s.chainCache
-	return scanner.New(s.World.Net, s.World.DNS, s.World.Class, cfg)
+	return cfg
 }
 
 // CountryOf attributes a hostname to a country.
@@ -333,12 +342,9 @@ func (s *Study) followUp(ctx context.Context, before *resultset.Set, changed []s
 		stale[h] = true
 	}
 	s.mu.Lock()
-	cfg := scanner.DefaultConfig(s.World.Stores[s.storeInUse], world.FollowUpScanTime)
+	cfg := s.scanConfig(s.World.Stores[s.storeInUse], world.FollowUpScanTime)
 	cfg.Journal = s.journal
 	s.mu.Unlock()
-	cfg.Seed = s.World.Cfg.Seed
-	cfg.VerifyCache = s.verifyCache
-	cfg.ChainCache = s.chainCache
 	v := verify.Verifier{Store: cfg.Store, Now: cfg.Now, Cache: cfg.VerifyCache}
 	hosts := s.World.GovHosts
 	rows := make([]scanner.Result, len(hosts))
@@ -426,7 +432,7 @@ func (s *Study) FleetReport(ctx context.Context) (*acmefleet.Report, acmefleet.C
 	for i, e := range enrolled {
 		hosts[i] = e.Hostname
 	}
-	chaos := acmefleet.DefaultChaos().Apply(s.World, hosts, s.World.Cfg.Seed)
+	chaos := acmefleet.ApplyChaos(s.World, hosts, s.World.Cfg.Seed)
 	fleet := acmefleet.New(s.World, set, s.fleetConfig(len(enrolled)))
 	rep := fleet.Run(ctx)
 	// Rotated certificates are not the campaign's only trace: the chaos
@@ -469,12 +475,7 @@ func (s *Study) scanFleetCorpus(ctx context.Context, rep *acmefleet.Report) *res
 	for i := range rep.Hosts {
 		hosts[i] = rep.Hosts[i].Hostname
 	}
-	cfg := scanner.DefaultConfig(s.Store(), rep.Final().Time)
-	cfg.Seed = s.World.Cfg.Seed
-	cfg.Clock = s.World.Clock
-	cfg.VerifyCache = s.verifyCache
-	cfg.ChainCache = s.chainCache
-	sc := scanner.New(s.World.Net, s.World.DNS, s.World.Class, cfg)
+	sc := scanner.New(s.World.Net, s.World.DNS, s.World.Class, s.scanConfig(s.Store(), rep.Final().Time))
 	return resultset.New(sc.ScanAll(ctx, hosts), s.indexOptions())
 }
 

@@ -50,26 +50,20 @@ type Stats struct {
 	TotalRetrieved int
 }
 
-// Crawler walks the link graph.
+// fetchConcurrency bounds parallel fetches per level.
+const fetchConcurrency = 64
+
+// Crawler walks the link graph. The frontier keeps hosts with a valid
+// ccTLD (and the US gov/mil TLDs), as the paper's crawl did.
 type Crawler struct {
 	Fetch Fetcher
 	// MaxDepth bounds the walk; the paper used 7.
 	MaxDepth int
-	// KeepHost filters frontier candidates; the paper keeps hosts with a
-	// valid ccTLD (and the US gov/mil TLDs).
-	KeepHost func(string) bool
-	// Concurrency bounds parallel fetches per level.
-	Concurrency int
 }
 
 // New builds a crawler with the paper's settings.
 func New(f Fetcher) *Crawler {
-	return &Crawler{
-		Fetch:       f,
-		MaxDepth:    7,
-		KeepHost:    govfilter.HasValidCCTLD,
-		Concurrency: 64,
-	}
+	return &Crawler{Fetch: f, MaxDepth: 7}
 }
 
 // Crawl walks from the seeds and returns every unique host retained
@@ -106,7 +100,7 @@ func (c *Crawler) Crawl(ctx context.Context, seeds []string) ([]string, Stats) {
 		var next []string
 		newGov := 0
 		for _, h := range links {
-			if seen[h] || !c.KeepHost(h) {
+			if seen[h] || !govfilter.HasValidCCTLD(h) {
 				continue
 			}
 			seen[h] = true
@@ -144,12 +138,8 @@ func (c *Crawler) Crawl(ctx context.Context, seeds []string) ([]string, Stats) {
 // fetchLevel fetches every frontier host concurrently and returns the
 // observed link hosts (unfiltered, with duplicates).
 func (c *Crawler) fetchLevel(ctx context.Context, frontier []string) []string {
-	conc := c.Concurrency
-	if conc <= 0 {
-		conc = 1
-	}
 	results := make([][]string, len(frontier))
-	sem := make(chan struct{}, conc)
+	sem := make(chan struct{}, fetchConcurrency)
 	var wg sync.WaitGroup
 	for i, h := range frontier {
 		sem <- struct{}{}
@@ -195,7 +185,6 @@ func countGov(f *govfilter.Filter, hosts []string) int {
 type WebFetcher struct {
 	Dialer   scanner.Dialer
 	Resolver scanner.Resolver
-	Vantage  string
 }
 
 // FetchLinks implements Fetcher.
@@ -218,7 +207,7 @@ func (f *WebFetcher) FetchLinks(ctx context.Context, hostname string) ([]string,
 }
 
 func (f *WebFetcher) getHTTP(ctx context.Context, ip netip.Addr, hostname string) (body []byte, redirected bool, err error) {
-	conn, err := f.Dialer.Dial(ctx, f.Vantage, ip80(ip))
+	conn, err := f.Dialer.Dial(ctx, ip80(ip))
 	if err != nil {
 		return nil, false, err
 	}
@@ -234,7 +223,7 @@ func (f *WebFetcher) getHTTP(ctx context.Context, ip netip.Addr, hostname string
 }
 
 func (f *WebFetcher) getHTTPS(ctx context.Context, ip netip.Addr, hostname string) ([]byte, error) {
-	conn, err := f.Dialer.Dial(ctx, f.Vantage, ip443(ip))
+	conn, err := f.Dialer.Dial(ctx, ip443(ip))
 	if err != nil {
 		return nil, err
 	}

@@ -12,7 +12,7 @@ import (
 var testWorld = world.MustBuild(world.TestConfig())
 
 func worldFetcher() *WebFetcher {
-	return &WebFetcher{Dialer: testWorld.Net, Resolver: testWorld.DNS, Vantage: "lab"}
+	return &WebFetcher{Dialer: testWorld.Net, Resolver: testWorld.DNS}
 }
 
 // mapFetcher serves a hand-built link graph.

@@ -27,19 +27,30 @@ import (
 	"repro/internal/longitudinal"
 	"repro/internal/resultset"
 	"repro/internal/scanner"
-	"repro/internal/truststore"
 	"repro/internal/world"
 )
 
+// The loop's fixed sampling and rate-limiting posture.
+const (
+	// snapshotEvery samples the adoption trajectory every n ticks; the
+	// final tick always samples.
+	snapshotEvery = 4
+	// refillPerTick is the token-bucket refill for non-fresh re-scans
+	// (each costs one token). Fresh-certificate hosts bypass the bucket
+	// entirely.
+	refillPerTick = 32
+	// burst caps accumulated tokens.
+	burst = 4 * refillPerTick
+)
+
 // Config tunes one observatory run. The zero value of every field has a
-// usable default; Seed and Start should be set deliberately.
+// usable default; Seed should be set deliberately. The loop starts at the
+// world's scan time, and re-scans validate against the world's "apple"
+// store, the paper's conservative choice.
 type Config struct {
 	// Seed drives the observatory's own churn driver and the scanner's
 	// backoff jitter.
 	Seed int64
-	// Start is the loop start on the virtual timeline (default: the
-	// world's scan time).
-	Start time.Time
 	// Horizon is the simulated observation length (default 60 days).
 	Horizon time.Duration
 	// Tick is the loop granularity (default 12h).
@@ -47,29 +58,14 @@ type Config struct {
 	// Workers is the re-scan concurrency per tick (default 16). Output
 	// is byte-identical at any value.
 	Workers int
-	// SnapshotEvery samples the adoption trajectory every n ticks
-	// (default 4). The final tick always samples.
-	SnapshotEvery int
 	// ChurnPerTick is how many hosts of background churn the observatory
 	// itself drives into the world each tick via world.ChurnTick
 	// (default 0: the world churns only through external actors such as
 	// the ACME fleet or remediation).
 	ChurnPerTick int
-	// RefillPerTick is the token-bucket refill for non-fresh re-scans
-	// (default 32 tokens per tick; each non-fresh re-scan costs one).
-	// Fresh-certificate hosts bypass the bucket entirely.
-	RefillPerTick int
-	// Burst caps accumulated tokens (default 4×RefillPerTick).
-	Burst int
-	// Store is the trust store re-scans validate against (default: the
-	// world's "apple" store, the paper's conservative choice).
-	Store *truststore.Store
 }
 
-func (c Config) withDefaults(w *world.World) Config {
-	if c.Start.IsZero() {
-		c.Start = w.ScanTime
-	}
+func (c Config) withDefaults() Config {
 	if c.Horizon <= 0 {
 		c.Horizon = 60 * 24 * time.Hour
 	}
@@ -78,18 +74,6 @@ func (c Config) withDefaults(w *world.World) Config {
 	}
 	if c.Workers <= 0 {
 		c.Workers = 16
-	}
-	if c.SnapshotEvery <= 0 {
-		c.SnapshotEvery = 4
-	}
-	if c.RefillPerTick <= 0 {
-		c.RefillPerTick = 32
-	}
-	if c.Burst <= 0 {
-		c.Burst = 4 * c.RefillPerTick
-	}
-	if c.Store == nil {
-		c.Store = w.Stores["apple"]
 	}
 	return c
 }
@@ -100,6 +84,7 @@ func (c Config) withDefaults(w *world.World) Config {
 type Observatory struct {
 	Cfg Config
 
+	start   time.Time // loop start: the world's scan time at New
 	w       *world.World
 	watcher *certwatch.Watcher
 	set     *resultset.Set
@@ -143,18 +128,19 @@ type dirtyHost struct {
 // The CT and change-log cursors start at the present — the loop observes
 // growth, not the backlog (the one-shot experiments already cover that).
 func New(w *world.World, set *resultset.Set, cfg Config) *Observatory {
-	cfg = cfg.withDefaults(w)
+	cfg = cfg.withDefaults()
 	o := &Observatory{
 		Cfg:       cfg,
+		start:     w.ScanTime,
 		w:         w,
 		watcher:   certwatch.NewWatcher(w.GovHosts),
 		set:       set,
 		corpus:    make(map[string]bool, set.Len()),
 		children:  make(map[string][]string),
 		queued:    make(map[string]*dirtyHost),
-		tokens:    cfg.Burst,
+		tokens:    burst,
 		churnRand: rand.New(rand.NewSource(cfg.Seed)),
-		scanCfg:   scanner.DefaultConfig(cfg.Store, cfg.Start),
+		scanCfg:   scanner.DefaultConfig(w.Stores["apple"], w.ScanTime),
 	}
 	o.scanCfg.Concurrency = cfg.Workers
 	o.scanCfg.Seed = cfg.Seed
@@ -174,7 +160,7 @@ func New(w *world.World, set *resultset.Set, cfg Config) *Observatory {
 			parent := host[dot+1:]
 			o.children[parent] = append(o.children[parent], host)
 		}
-		if len(r.Chain) > 0 && r.Chain[0].NotAfter.After(cfg.Start) {
+		if len(r.Chain) > 0 && r.Chain[0].NotAfter.After(o.start) {
 			heap.Push(&o.expiry, expiryEntry{at: r.Chain[0].NotAfter, hostname: host})
 		}
 	}
@@ -193,7 +179,7 @@ func (o *Observatory) Run(ctx context.Context) (*Report, error) {
 	for i := 0; i <= ticks && ctx.Err() == nil; i++ {
 		// Nominal tick time: never a live clock read, so the report is
 		// independent of in-tick latency bookkeeping.
-		now := o.Cfg.Start.Add(time.Duration(i) * o.Cfg.Tick)
+		now := o.start.Add(time.Duration(i) * o.Cfg.Tick)
 		o.w.Clock.SetTime(now)
 
 		if o.Cfg.ChurnPerTick > 0 {
@@ -217,7 +203,7 @@ func (o *Observatory) Run(ctx context.Context) (*Report, error) {
 			o.set = next
 		}
 
-		if i%o.Cfg.SnapshotEvery == 0 || i == ticks {
+		if i%snapshotEvery == 0 || i == ticks {
 			o.points = append(o.points, longitudinal.Tally(now, o.set))
 			stat.Snapshotted = true
 		}
@@ -331,10 +317,7 @@ func (o *Observatory) dirty(hostname string, fresh bool, now time.Time, stat *Ti
 // churn up to the token bucket. Pop order — (fresh, since, hostname) —
 // is the batch order, and therefore the delta's result order.
 func (o *Observatory) admit(now time.Time) []string {
-	o.tokens += o.Cfg.RefillPerTick
-	if o.tokens > o.Cfg.Burst {
-		o.tokens = o.Cfg.Burst
-	}
+	o.tokens = min(o.tokens+refillPerTick, burst)
 	var batch []string
 	for o.queue.Len() > 0 {
 		top := o.queue[0]

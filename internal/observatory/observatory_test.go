@@ -3,6 +3,7 @@ package observatory_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
@@ -26,14 +27,11 @@ func runObservatory(t *testing.T, workers int) (*observatory.Report, *observator
 	base := resultset.New(raw, obsOptions(w))
 
 	o := observatory.New(w, base, observatory.Config{
-		Seed:          1234,
-		Tick:          6 * time.Hour,
-		Horizon:       60 * time.Hour, // 10 ticks + tick 0
-		Workers:       workers,
-		SnapshotEvery: 3,
-		ChurnPerTick:  6,
-		RefillPerTick: 4,
-		Burst:         8,
+		Seed:         1234,
+		Tick:         6 * time.Hour,
+		Horizon:      60 * time.Hour, // 10 ticks + tick 0
+		Workers:      workers,
+		ChurnPerTick: 6,
 	})
 	rep, err := o.Run(context.Background())
 	if err != nil {
@@ -65,15 +63,21 @@ func TestObservatoryLoopShape(t *testing.T) {
 	if got, want := len(rep.Ticks), 11; got != want {
 		t.Fatalf("ticks = %d, want %d", got, want)
 	}
-	// Snapshots at ticks 0,3,6,9 plus the forced final tick 10.
-	if got, want := len(rep.Trajectory.Points), 5; got != want {
-		t.Fatalf("trajectory points = %d, want %d", got, want)
+	// Snapshots at ticks 0,4,8 plus the forced final tick 10.
+	var sampled []int
+	for _, stat := range rep.Ticks {
+		if stat.Snapshotted {
+			sampled = append(sampled, stat.Tick)
+		}
+	}
+	if fmt.Sprint(sampled) != "[0 4 8 10]" || len(rep.Trajectory.Points) != len(sampled) {
+		t.Fatalf("sampled ticks %v with %d trajectory points, want [0 4 8 10]", sampled, len(rep.Trajectory.Points))
 	}
 	for i, stat := range rep.Ticks {
 		if stat.Tick != i {
 			t.Fatalf("tick %d numbered %d", i, stat.Tick)
 		}
-		want := o.Cfg.Start.Add(time.Duration(i) * o.Cfg.Tick)
+		want := world.DefaultScanTime.Add(time.Duration(i) * o.Cfg.Tick)
 		if !stat.Time.Equal(want) {
 			t.Fatalf("tick %d at %v, want nominal %v", i, stat.Time, want)
 		}
@@ -119,7 +123,7 @@ func TestObservatoryDeltaMatchesGroundTruth(t *testing.T) {
 	rep, o, w := runObservatory(t, 4)
 	_ = rep
 
-	final := o.Cfg.Start.Add(o.Cfg.Horizon)
+	final := world.DefaultScanTime.Add(o.Cfg.Horizon)
 	s := scanner.New(w.Net, w.DNS, w.Class, scanner.DefaultConfig(w.Stores["apple"], final))
 	truth := s.ScanAll(context.Background(), w.GovHosts)
 

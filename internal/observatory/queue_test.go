@@ -2,6 +2,7 @@ package observatory
 
 import (
 	"container/heap"
+	"fmt"
 	"testing"
 	"time"
 
@@ -12,16 +13,25 @@ import (
 
 var qt0 = time.Date(2020, 4, 26, 0, 0, 0, 0, time.UTC)
 
-func newQueueOnly(refill, burst int) *Observatory {
+func newQueueOnly() *Observatory {
 	return &Observatory{
-		Cfg:    Config{RefillPerTick: refill, Burst: burst},
 		queued: make(map[string]*dirtyHost),
 		tokens: burst,
 	}
 }
 
+// dirtyChurn queues n churn hosts named prefix00, prefix01, ... at since.
+func dirtyChurn(o *Observatory, prefix string, n int, since time.Time, stat *TickStat) []string {
+	hosts := make([]string, n)
+	for i := range hosts {
+		hosts[i] = fmt.Sprintf("%s%02d.gov.xx", prefix, i)
+		o.dirty(hosts[i], false, since, stat)
+	}
+	return hosts
+}
+
 func TestQueuePriorityOrder(t *testing.T) {
-	o := newQueueOnly(100, 100)
+	o := newQueueOnly()
 	var stat TickStat
 	o.dirty("churn-b.gov.xx", false, qt0, &stat)
 	o.dirty("churn-a.gov.xx", false, qt0, &stat)
@@ -50,45 +60,46 @@ func TestQueuePriorityOrder(t *testing.T) {
 }
 
 func TestQueueTokenBucketLimitsChurnOnly(t *testing.T) {
-	o := newQueueOnly(1, 2)
+	o := newQueueOnly()
 	o.tokens = 0
 	var stat TickStat
-	for _, h := range []string{"c1.gov.xx", "c2.gov.xx", "c3.gov.xx", "c4.gov.xx"} {
-		o.dirty(h, false, qt0, &stat)
-	}
+	churn := dirtyChurn(o, "c", refillPerTick+3, qt0, &stat)
 	for _, h := range []string{"f1.gov.xx", "f2.gov.xx", "f3.gov.xx"} {
 		o.dirty(h, true, qt0, &stat)
 	}
 
-	// Refill of 1: every fresh host admitted, exactly one churn host.
+	// One refill: every fresh host admitted, then exactly refillPerTick
+	// churn hosts.
 	got := o.admit(qt0)
-	if len(got) != 4 {
-		t.Fatalf("admitted %v, want 3 fresh + 1 churn", got)
+	want := append([]string{"f1.gov.xx", "f2.gov.xx", "f3.gov.xx"}, churn[:refillPerTick]...)
+	if len(got) != len(want) {
+		t.Fatalf("admitted %d hosts, want 3 fresh + %d churn: %v", len(got), refillPerTick, got)
 	}
-	for i, h := range []string{"f1.gov.xx", "f2.gov.xx", "f3.gov.xx", "c1.gov.xx"} {
-		if got[i] != h {
-			t.Fatalf("admitted[%d] = %q, want %q", i, got[i], h)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("admitted[%d] = %q, want %q", i, got[i], want[i])
 		}
 	}
 	if o.queue.Len() != 3 {
 		t.Fatalf("queue depth = %d, want 3 deferred churn hosts", o.queue.Len())
 	}
 
-	// Next tick drains one more; the bucket never exceeds Burst.
-	if got := o.admit(qt0.Add(time.Hour)); len(got) != 1 || got[0] != "c2.gov.xx" {
+	// The next tick drains the deferred rest; the bucket never exceeds
+	// the burst.
+	if got := o.admit(qt0.Add(time.Hour)); len(got) != 3 || got[0] != churn[refillPerTick] {
 		t.Fatalf("second admit = %v", got)
 	}
 	o.queue = nil
 	for i := 0; i < 5; i++ {
 		o.admit(qt0.Add(time.Duration(2+i) * time.Hour))
 	}
-	if o.tokens != 2 {
-		t.Fatalf("tokens = %d, want clamped at burst 2", o.tokens)
+	if o.tokens != burst {
+		t.Fatalf("tokens = %d, want clamped at burst %d", o.tokens, burst)
 	}
 }
 
 func TestQueueDedupAndUpgrade(t *testing.T) {
-	o := newQueueOnly(0, 1)
+	o := newQueueOnly()
 	o.tokens = 0
 	var stat TickStat
 	o.dirty("host.gov.xx", false, qt0, &stat)
@@ -96,16 +107,19 @@ func TestQueueDedupAndUpgrade(t *testing.T) {
 	if o.queue.Len() != 1 || stat.ChurnDirty != 1 {
 		t.Fatalf("queue = %d entries, stat = %+v", o.queue.Len(), stat)
 	}
+	// Older churn that takes the whole refill: as churn, host.gov.xx
+	// would be deferred behind it.
+	dirtyChurn(o, "old", refillPerTick, qt0.Add(-time.Hour), &stat)
 
 	// Upgrade to fresh re-prioritizes without duplicating, and the host
-	// now bypasses the empty token bucket.
+	// now bypasses the token bucket the older churn drains.
 	o.dirty("host.gov.xx", true, qt0.Add(2*time.Hour), &stat)
-	if o.queue.Len() != 1 {
+	if o.queue.Len() != 1+refillPerTick {
 		t.Fatalf("queue = %d entries after upgrade", o.queue.Len())
 	}
 	got := o.admit(qt0)
-	if len(got) != 1 || got[0] != "host.gov.xx" {
-		t.Fatalf("admit after upgrade = %v", got)
+	if len(got) != 1+refillPerTick || got[0] != "host.gov.xx" || o.queue.Len() != 0 {
+		t.Fatalf("admit after upgrade = %v, %d still queued", got, o.queue.Len())
 	}
 }
 
@@ -148,7 +162,7 @@ func TestRearmSkipsUnchangedExpiry(t *testing.T) {
 		leafRow("lapsed.gov.xx", qt0.Add(-time.Hour)),
 		{Hostname: "plain.gov.xx", Available: true},
 	}, resultset.Options{})
-	o := newQueueOnly(1, 1)
+	o := newQueueOnly()
 	// The entries New arms from prev at qt0: live leaves only.
 	heap.Push(&o.expiry, expiryEntry{at: exp, hostname: "same.gov.xx"})
 	heap.Push(&o.expiry, expiryEntry{at: exp, hostname: "rotated.gov.xx"})

@@ -10,7 +10,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"net"
 	"net/netip"
 	"sync"
@@ -29,7 +28,7 @@ import (
 
 // Dialer abstracts the network (satisfied by *simnet.Network).
 type Dialer interface {
-	Dial(ctx context.Context, fromVantage string, ep netip.AddrPort) (net.Conn, error)
+	Dial(ctx context.Context, ep netip.AddrPort) (net.Conn, error)
 }
 
 // Resolver abstracts DNS (satisfied by *dnssim.Zone).
@@ -58,10 +57,15 @@ func FirstA(r Resolver, hostname string) (netip.Addr, error) {
 	return addrs[0], nil
 }
 
+// Retry backoff: the delay before the first re-attempt, doubled (plus
+// deterministic jitter) for each further one, up to the cap.
+const (
+	backoffBase = 500 * time.Millisecond
+	backoffMax  = 8 * time.Second
+)
+
 // Config tunes a scan.
 type Config struct {
-	// Vantage labels the scanning location (relevant to censorship).
-	Vantage string
 	// Concurrency bounds parallel host probes.
 	Concurrency int
 	// Retries is the number of re-attempts after connection failures; the
@@ -77,12 +81,6 @@ type Config struct {
 	// waits on wall time. Timeouts are simnet faults that fail the dial at
 	// once, not deadlines. nil defaults to a fresh virtual clock.
 	Clock *simclock.Virtual
-	// BackoffBase is the delay before the first re-attempt; each further
-	// re-attempt doubles it (plus deterministic jitter). Zero disables
-	// backoff pacing.
-	BackoffBase time.Duration
-	// BackoffMax caps the exponential backoff delay.
-	BackoffMax time.Duration
 	// Seed drives the deterministic backoff jitter.
 	Seed int64
 	// Breaker, when non-nil, stops hammering a hosting provider after
@@ -109,14 +107,11 @@ type Config struct {
 // DefaultConfig mirrors the paper's scanning posture.
 func DefaultConfig(store *truststore.Store, now time.Time) Config {
 	return Config{
-		Vantage:     "lab",
 		Concurrency: 64,
 		Retries:     3,
 		Store:       store,
 		Now:         now,
 		Clock:       simclock.NewVirtual(now),
-		BackoffBase: 500 * time.Millisecond,
-		BackoffMax:  8 * time.Second,
 		VerifyCache: verify.NewCache(),
 		ChainCache:  cert.NewChainCache(),
 	}
@@ -377,7 +372,7 @@ func (s *Scanner) dialRetry(ctx context.Context, ep netip.AddrPort, res *Result,
 		if res != nil {
 			res.Attempts++
 		}
-		conn, err := s.Dialer.Dial(ctx, s.Cfg.Vantage, ep)
+		conn, err := s.Dialer.Dial(ctx, ep)
 		if err == nil {
 			if s.Cfg.Breaker != nil {
 				s.Cfg.Breaker.Success(key)
@@ -407,44 +402,18 @@ func (s *Scanner) dialRetry(ctx context.Context, ep netip.AddrPort, res *Result,
 		if i+1 == attempts {
 			break
 		}
-		if delay := s.backoff(ep, i); delay > 0 {
-			if err := s.Cfg.Clock.Sleep(ctx, delay); err != nil {
-				return nil, err
-			}
+		if err := s.Cfg.Clock.Sleep(ctx, s.backoff(ep, i)); err != nil {
+			return nil, err
 		}
 	}
 	return nil, lastErr
 }
 
-// backoff computes the delay before re-attempt number attempt (0-based):
-// exponential doubling from BackoffBase, capped at BackoffMax, scaled by a
-// deterministic jitter factor in [0.5, 1.5) derived from the scan seed and
-// the endpoint — decorrelating retries across hosts without an RNG shared
-// between goroutines.
+// backoff is the delay before re-attempt number attempt (0-based) on
+// endpoint ep, jittered by the scan seed and the endpoint.
 func (s *Scanner) backoff(ep netip.AddrPort, attempt int) time.Duration {
-	base := s.Cfg.BackoffBase
-	if base <= 0 {
-		return 0
-	}
-	if attempt > 30 {
-		attempt = 30
-	}
-	d := base << uint(attempt)
-	if s.Cfg.BackoffMax > 0 && d > s.Cfg.BackoffMax {
-		d = s.Cfg.BackoffMax
-	}
-	h := fnv.New64a()
-	var buf [16]byte
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(s.Cfg.Seed >> (8 * i))
-		buf[8+i] = byte(int64(attempt) >> (8 * i))
-	}
-	h.Write(buf[:])
-	if b, err := ep.MarshalBinary(); err == nil {
-		h.Write(b)
-	}
-	frac := float64(h.Sum64()>>11) / float64(1<<53)
-	return time.Duration(float64(d) * (0.5 + frac))
+	key, _ := ep.MarshalBinary()
+	return simclock.Backoff(backoffBase, backoffMax, s.Cfg.Seed, attempt, key)
 }
 
 // breakerKey groups endpoints for the circuit breaker: the hosting

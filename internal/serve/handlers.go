@@ -309,7 +309,7 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 	}
 	name := queryParam(r, "dataset")
 	if name == "" {
-		name = s.cfg.DefaultDataset
+		name = defaultDataset
 	}
 	pin, err := s.reg.Pin(r.Context(), name)
 	if err != nil {
@@ -324,7 +324,7 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 		offset = n
 	}
 	end := n
-	if limit > 0 && offset+limit < n {
+	if limit > 0 && limit < n-offset {
 		end = offset + limit
 	}
 	h := w.Header()

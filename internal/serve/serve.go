@@ -30,7 +30,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/resultset"
@@ -38,10 +37,8 @@ import (
 )
 
 // Config tunes a Server. The zero value serves with the defaults below.
+// A request without a dataset parameter reads "worldwide".
 type Config struct {
-	// DefaultDataset is used when a request has no dataset parameter
-	// (default "worldwide").
-	DefaultDataset string
 	// Cache sizes the response cache; CacheDisabled turns it off
 	// entirely (every request runs the aggregation — the differential
 	// baseline and the uncached benchmark mix).
@@ -52,8 +49,6 @@ type Config struct {
 	// exports (default 32). Excess requests fail fast with 503.
 	QueryConcurrency  int
 	ExportConcurrency int
-	// RetryAfter is the hint attached to 503 responses (default 1s).
-	RetryAfter time.Duration
 	// PageLimit caps (and defaults) the per-page host-listing size
 	// (default 100).
 	PageLimit int
@@ -64,10 +59,12 @@ const (
 	defaultQueryConc  = 256
 	defaultExportConc = 32
 	defaultPageLimit  = 100
-	defaultRetryAfter = time.Second
-	exportFlushSize   = 64 << 10
-	exportBufSlack    = 4096
-	bodyBufSize       = 4 << 10
+	// retryAfter is the Retry-After hint on 503 responses, in whole
+	// seconds (preformatted: 503s are the hot path of an overload).
+	retryAfter      = "1"
+	exportFlushSize = 64 << 10
+	exportBufSlack  = 4096
+	bodyBufSize     = 4 << 10
 )
 
 // Server is the HTTP query API. Create with New; the zero value is not
@@ -80,9 +77,6 @@ type Server struct {
 
 	querySem  chan struct{}
 	exportSem chan struct{}
-	// retryAfter is the preformatted Retry-After value in whole seconds
-	// (503s are the hot path of an overload; no formatting there).
-	retryAfter string
 
 	rejectedQuery  atomic.Int64
 	rejectedExport atomic.Int64
@@ -95,32 +89,21 @@ type Server struct {
 // underneath (MarkDirty/ApplyDelta/InvalidateAll); requests always
 // observe one consistent pinned generation.
 func New(reg *dataset.Registry, cfg Config) *Server {
-	if cfg.DefaultDataset == "" {
-		cfg.DefaultDataset = defaultDataset
-	}
 	if cfg.QueryConcurrency <= 0 {
 		cfg.QueryConcurrency = defaultQueryConc
 	}
 	if cfg.ExportConcurrency <= 0 {
 		cfg.ExportConcurrency = defaultExportConc
 	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = defaultRetryAfter
-	}
 	if cfg.PageLimit <= 0 {
 		cfg.PageLimit = defaultPageLimit
 	}
-	secs := int64(cfg.RetryAfter / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
 	s := &Server{
-		reg:        reg,
-		cfg:        cfg,
-		mux:        http.NewServeMux(),
-		querySem:   make(chan struct{}, cfg.QueryConcurrency),
-		exportSem:  make(chan struct{}, cfg.ExportConcurrency),
-		retryAfter: strconv.FormatInt(secs, 10),
+		reg:       reg,
+		cfg:       cfg,
+		mux:       http.NewServeMux(),
+		querySem:  make(chan struct{}, cfg.QueryConcurrency),
+		exportSem: make(chan struct{}, cfg.ExportConcurrency),
 	}
 	if !cfg.CacheDisabled {
 		s.cache = newCache(cfg.Cache)
@@ -213,7 +196,7 @@ func (e notFoundError) Error() string { return string(e) }
 
 func (s *Server) reject(w http.ResponseWriter, counter *atomic.Int64) {
 	counter.Add(1)
-	w.Header().Set("Retry-After", s.retryAfter)
+	w.Header().Set("Retry-After", retryAfter)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusServiceUnavailable)
 	w.Write([]byte(`{"error":"over capacity"}` + "\n"))
@@ -260,7 +243,7 @@ func (s *Server) query(w http.ResponseWriter, r *http.Request, endpoint, params 
 
 	name := queryParam(r, "dataset")
 	if name == "" {
-		name = s.cfg.DefaultDataset
+		name = defaultDataset
 	}
 	pin, err := s.reg.Pin(r.Context(), name)
 	if err != nil {
@@ -304,29 +287,14 @@ func (s *Server) query(w http.ResponseWriter, r *http.Request, endpoint, params 
 	writeBody(w, body, state)
 }
 
-// page parses offset/limit query parameters, clamping limit to the
-// configured page cap. ok is false on malformed input (already reported).
+// page parses offset/limit like pageRaw, then clamps limit to the
+// configured page cap (which an absent or zero limit takes).
 func (s *Server) page(w http.ResponseWriter, r *http.Request) (offset, limit int, ok bool) {
-	limit = s.cfg.PageLimit
-	if v := queryParam(r, "offset"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			s.errorJSON(w, http.StatusBadRequest, "invalid offset")
-			return 0, 0, false
-		}
-		offset = n
+	offset, limit, ok = s.pageRaw(w, r)
+	if limit == 0 || limit > s.cfg.PageLimit {
+		limit = s.cfg.PageLimit
 	}
-	if v := queryParam(r, "limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			s.errorJSON(w, http.StatusBadRequest, "invalid limit")
-			return 0, 0, false
-		}
-		if n > 0 && n < limit {
-			limit = n
-		}
-	}
-	return offset, limit, true
+	return offset, limit, ok
 }
 
 // clampPage slices bucket to the requested window.
@@ -335,7 +303,7 @@ func clampPage(bucket []int, offset, limit int) []int {
 		offset = len(bucket)
 	}
 	end := len(bucket)
-	if offset+limit < end {
+	if limit < end-offset {
 		end = offset + limit
 	}
 	return bucket[offset:end]

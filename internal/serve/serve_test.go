@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -122,25 +123,47 @@ func TestDifferentialCacheOnOff(t *testing.T) {
 
 func isExport(path string) bool { return len(path) >= 10 && path[:10] == "/v1/export" }
 
-// TestExportMatchesCorpus checks the streamed JSONL window against the
-// set's own zero-copy serialization.
+// TestExportMatchesCorpus checks streamed JSONL windows against the
+// set's own zero-copy serialization, including a limit so large that
+// offset+limit overflows an int.
 func TestExportMatchesCorpus(t *testing.T) {
 	s, set := serveStudy(t)
 	srv := serve.New(s.Registry(), serve.Config{})
 
-	rec := get(t, srv.Handler(), "/v1/export?offset=2&limit=3")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("export status %d", rec.Code)
+	for _, tc := range []struct {
+		query    string
+		from, to int
+	}{
+		{"offset=2&limit=3", 2, 5},
+		{"offset=1&limit=" + strconv.Itoa(math.MaxInt), 1, set.Len()},
+	} {
+		rec := get(t, srv.Handler(), "/v1/export?"+tc.query)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: export status %d", tc.query, rec.Code)
+		}
+		var want []byte
+		for i := tc.from; i < tc.to; i++ {
+			want = set.At(i).AppendRecord(want)
+		}
+		if !bytes.Equal(rec.Body.Bytes(), want) {
+			t.Fatalf("%s: export of %d bytes differs from AppendRecord over rows [%d, %d)",
+				tc.query, rec.Body.Len(), tc.from, tc.to)
+		}
+		if got := rec.Header().Get("X-Total-Count"); got != strconv.Itoa(set.Len()) {
+			t.Fatalf("%s: X-Total-Count = %s, want %d", tc.query, got, set.Len())
+		}
 	}
-	var want []byte
-	for i := 2; i < 5 && i < set.Len(); i++ {
-		want = set.At(i).AppendRecord(want)
-	}
-	if !bytes.Equal(rec.Body.Bytes(), want) {
-		t.Fatal("export window differs from AppendRecord over the same rows")
-	}
-	if got := rec.Header().Get("X-Total-Count"); got != strconv.Itoa(set.Len()) {
-		t.Fatalf("X-Total-Count = %s, want %d", got, set.Len())
+}
+
+// TestPageCapNoOverflow: a page cap so large that offset+limit overflows
+// an int lists the same hosts as a cap that just covers the corpus.
+func TestPageCapNoOverflow(t *testing.T) {
+	s, set := serveStudy(t)
+	path := "/v1/country?cc=" + set.Countries()[0] + "&offset=1"
+	huge := get(t, serve.New(s.Registry(), serve.Config{PageLimit: math.MaxInt}).Handler(), path)
+	covering := get(t, serve.New(s.Registry(), serve.Config{PageLimit: set.Len()}).Handler(), path)
+	if huge.Code != http.StatusOK || !bytes.Equal(huge.Body.Bytes(), covering.Body.Bytes()) {
+		t.Fatalf("page cap MaxInt: status %d, body %q; want the body %q", huge.Code, huge.Body.Bytes(), covering.Body.Bytes())
 	}
 }
 

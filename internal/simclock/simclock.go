@@ -14,6 +14,7 @@ package simclock
 
 import (
 	"context"
+	"hash/fnv"
 	"sort"
 	"sync"
 	"time"
@@ -165,4 +166,27 @@ func (v *Virtual) remove(w *waiter) {
 			return
 		}
 	}
+}
+
+// Backoff is the delay before re-attempt number attempt (0-based):
+// exponential doubling from base, capped at limit, scaled by a
+// deterministic jitter factor in [0.5, 1.5) hashed from seed, attempt and
+// key. Retries decorrelate across keys without an RNG shared between
+// goroutines. base must be positive.
+func Backoff(base, limit time.Duration, seed int64, attempt int, key []byte) time.Duration {
+	d := base
+	for i := 0; i < attempt && d < limit; i++ {
+		d <<= 1
+	}
+	d = min(d, limit)
+	h := fnv.New64a()
+	var buf [16]byte
+	for i := 0; i < 8; i++ {
+		buf[i] = byte(seed >> (8 * i))
+		buf[8+i] = byte(int64(attempt) >> (8 * i))
+	}
+	h.Write(buf[:])
+	h.Write(key)
+	frac := float64(h.Sum64()>>11) / float64(1<<53)
+	return time.Duration(float64(d) * (0.5 + frac))
 }

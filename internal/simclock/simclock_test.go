@@ -117,3 +117,26 @@ func TestRealSleepHonoursContext(t *testing.T) {
 		t.Error("cancelled real sleep blocked")
 	}
 }
+
+// TestBackoffShape: each delay is the capped exponential scaled into
+// [0.5, 1.5), the same for the same inputs, and capped rather than
+// overflowed however many attempts precede it.
+func TestBackoffShape(t *testing.T) {
+	base, limit := 6*time.Hour, 4*24*time.Hour
+	for attempt := 0; attempt < 70; attempt++ {
+		nominal := float64(limit)
+		if attempt < 10 {
+			nominal = min(nominal, float64(base)*float64(int64(1)<<attempt))
+		}
+		d := Backoff(base, limit, 7, attempt, []byte("a.gov.xx"))
+		if float64(d) < 0.5*nominal || float64(d) >= 1.5*nominal {
+			t.Fatalf("attempt %d: %v outside [0.5, 1.5) × %v", attempt, d, time.Duration(nominal))
+		}
+		if again := Backoff(base, limit, 7, attempt, []byte("a.gov.xx")); again != d {
+			t.Fatalf("attempt %d: %v then %v for the same inputs", attempt, d, again)
+		}
+	}
+	if Backoff(base, limit, 7, 0, []byte("a.gov.xx")) == Backoff(base, limit, 7, 0, []byte("b.gov.xx")) {
+		t.Error("jitter does not depend on the key")
+	}
+}

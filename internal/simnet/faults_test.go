@@ -30,11 +30,11 @@ func TestFaultFlakyRecovers(t *testing.T) {
 	n.SetFaultSpec(addr, FaultSpec{Mode: FaultFlaky, FailCount: 2})
 
 	for i := 0; i < 2; i++ {
-		if _, err := n.Dial(context.Background(), "lab", addr); !IsReset(err) {
+		if _, err := n.Dial(context.Background(), addr); !IsReset(err) {
 			t.Fatalf("dial %d: err = %v, want reset", i, err)
 		}
 	}
-	c, err := n.Dial(context.Background(), "lab", addr)
+	c, err := n.Dial(context.Background(), addr)
 	if err != nil {
 		t.Fatalf("dial after FailCount: %v", err)
 	}
@@ -51,10 +51,10 @@ func TestFaultFlakyCustomError(t *testing.T) {
 	addr := ep("192.0.2.31:443")
 	echoHandler(n, addr)
 	n.SetFaultSpec(addr, FaultSpec{Mode: FaultFlaky, FailCount: 1, FailWith: ErrTimedOut})
-	if _, err := n.Dial(context.Background(), "lab", addr); !IsTimeout(err) {
+	if _, err := n.Dial(context.Background(), addr); !IsTimeout(err) {
 		t.Fatalf("err = %v, want timeout", err)
 	}
-	if _, err := n.Dial(context.Background(), "lab", addr); err != nil {
+	if _, err := n.Dial(context.Background(), addr); err != nil {
 		t.Fatalf("second dial: %v", err)
 	}
 }
@@ -68,7 +68,7 @@ func TestFaultProbDeterministic(t *testing.T) {
 		n.SetFaultSpec(addr, FaultSpec{Mode: FaultProb, Probability: 0.5})
 		var out []bool
 		for i := 0; i < 40; i++ {
-			_, err := n.Dial(context.Background(), "lab", addr)
+			_, err := n.Dial(context.Background(), addr)
 			out = append(out, err == nil)
 		}
 		return out
@@ -100,11 +100,11 @@ func TestFaultProbExtremes(t *testing.T) {
 	addr := ep("192.0.2.33:443")
 	echoHandler(n, addr)
 	n.SetFaultSpec(addr, FaultSpec{Mode: FaultProb, Probability: 1})
-	if _, err := n.Dial(context.Background(), "lab", addr); err == nil {
+	if _, err := n.Dial(context.Background(), addr); err == nil {
 		t.Fatal("p=1 dial succeeded")
 	}
 	n.SetFaultSpec(addr, FaultSpec{Mode: FaultProb, Probability: 0})
-	if _, err := n.Dial(context.Background(), "lab", addr); err != nil {
+	if _, err := n.Dial(context.Background(), addr); err != nil {
 		t.Fatalf("p=0 dial failed: %v", err)
 	}
 }
@@ -121,7 +121,7 @@ func TestFaultMidHandshake(t *testing.T) {
 		c.Write([]byte("ServerHello"))
 	})
 	n.SetFaultSpec(addr, FaultSpec{Mode: FaultMidHandshake})
-	c, err := n.Dial(context.Background(), "lab", addr)
+	c, err := n.Dial(context.Background(), addr)
 	if err != nil {
 		t.Fatalf("mid-handshake fault must complete the dial: %v", err)
 	}
@@ -152,7 +152,7 @@ func TestFaultTruncate(t *testing.T) {
 		c.Write([]byte("0123456789"))
 	})
 	n.SetFaultSpec(addr, FaultSpec{Mode: FaultTruncate, TruncateBytes: 4})
-	c, err := n.Dial(context.Background(), "lab", addr)
+	c, err := n.Dial(context.Background(), addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestDialLatencyAdvancesVirtualClock(t *testing.T) {
 	echoHandler(n, addr)
 	n.SetFaultSpec(addr, FaultSpec{DialLatency: 300 * time.Millisecond})
 	wall := time.Now()
-	if _, err := n.Dial(context.Background(), "lab", addr); err != nil {
+	if _, err := n.Dial(context.Background(), addr); err != nil {
 		t.Fatal(err)
 	}
 	if time.Since(wall) > 100*time.Millisecond {
@@ -190,13 +190,13 @@ func TestSetFaultSpecResetsDialOrdinal(t *testing.T) {
 	addr := ep("192.0.2.37:443")
 	echoHandler(n, addr)
 	n.SetFaultSpec(addr, FaultSpec{Mode: FaultFlaky, FailCount: 1})
-	n.Dial(context.Background(), "lab", addr) // consumes the failure
-	if _, err := n.Dial(context.Background(), "lab", addr); err != nil {
+	n.Dial(context.Background(), addr) // consumes the failure
+	if _, err := n.Dial(context.Background(), addr); err != nil {
 		t.Fatalf("recovered dial failed: %v", err)
 	}
 	// Re-installing the fault starts the count over.
 	n.SetFaultSpec(addr, FaultSpec{Mode: FaultFlaky, FailCount: 1})
-	if _, err := n.Dial(context.Background(), "lab", addr); !IsReset(err) {
+	if _, err := n.Dial(context.Background(), addr); !IsReset(err) {
 		t.Fatalf("err = %v, want reset after re-install", err)
 	}
 }

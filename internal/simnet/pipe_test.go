@@ -208,13 +208,13 @@ func TestBlockedHandlerNeverStallsDials(t *testing.T) {
 	go func() {
 		for i := 0; i < 3*maxParkedHandlers; i++ {
 			blocked.Add(1)
-			if _, err := n.Dial(context.Background(), "lab", stuck); err != nil {
+			if _, err := n.Dial(context.Background(), stuck); err != nil {
 				blocked.Done()
 				done <- err
 				return
 			}
 		}
-		c, err := n.Dial(context.Background(), "lab", echo)
+		c, err := n.Dial(context.Background(), echo)
 		if err != nil {
 			done <- err
 			return
@@ -275,7 +275,7 @@ func TestParkedHandlersBounded(t *testing.T) {
 		dialers.Add(1)
 		go func() {
 			defer dialers.Done()
-			if _, err := n.Dial(context.Background(), "lab", addr); err != nil {
+			if _, err := n.Dial(context.Background(), addr); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -306,7 +306,7 @@ func TestParkedHandlersBounded(t *testing.T) {
 	n.Handle(reuse, func(net.Conn) { seen <- parked.Load() })
 	got := int32(-1)
 	for try := 0; try < 10 && got != maxParkedHandlers-1; try++ {
-		if _, err := n.Dial(context.Background(), "lab", reuse); err != nil {
+		if _, err := n.Dial(context.Background(), reuse); err != nil {
 			t.Fatal(err)
 		}
 		got = <-seen

@@ -108,10 +108,9 @@ type FaultSpec struct {
 // isZero reports whether the spec configures nothing.
 func (fs FaultSpec) isZero() bool { return fs.Mode == FaultNone && fs.DialLatency == 0 }
 
-// FirewallFunc inspects a dial and returns a non-nil error to block it.
-// The source is an opaque vantage label (e.g. "us-west") so censorship can
-// be modeled per route.
-type FirewallFunc func(fromVantage string, to netip.AddrPort) error
+// FirewallFunc inspects a dial's destination and returns a non-nil error
+// to block it.
+type FirewallFunc func(to netip.AddrPort) error
 
 // Addr is a net.Addr for simulated endpoints.
 type Addr struct{ AP netip.AddrPort }
@@ -232,10 +231,9 @@ func (n *Network) DialCount() int64 {
 	return n.dials
 }
 
-// Dial connects to an endpoint from the given vantage. It honours the
-// context, endpoint faults (permanent and transient), injected latency and
-// the firewall.
-func (n *Network) Dial(ctx context.Context, fromVantage string, ep netip.AddrPort) (net.Conn, error) {
+// Dial connects to an endpoint. It honours the context, endpoint faults
+// (permanent and transient), injected latency and the firewall.
+func (n *Network) Dial(ctx context.Context, ep netip.AddrPort) (net.Conn, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -253,7 +251,7 @@ func (n *Network) Dial(ctx context.Context, fromVantage string, ep netip.AddrPor
 	n.mu.Unlock()
 
 	if fw != nil {
-		if err := fw(fromVantage, ep); err != nil {
+		if err := fw(ep); err != nil {
 			return nil, &net.OpError{Op: "dial", Net: "sim", Addr: Addr{ep}, Err: err}
 		}
 	}

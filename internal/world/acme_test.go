@@ -38,7 +38,7 @@ func TestChallengeServing(t *testing.T) {
 	}
 	ctx := context.Background()
 	get := func(path string) *httpsim.Response {
-		conn, err := w.Net.Dial(ctx, "acme-va", netip.AddrPortFrom(s.IP, 80))
+		conn, err := w.Net.Dial(ctx, netip.AddrPortFrom(s.IP, 80))
 		if err != nil {
 			t.Fatalf("dial: %v", err)
 		}
@@ -86,12 +86,12 @@ func TestChallengeStandaloneResponder(t *testing.T) {
 	}
 	ctx := context.Background()
 	ep := netip.AddrPortFrom(s.IP, 80)
-	if _, err := w.Net.Dial(ctx, "acme-va", ep); err == nil {
+	if _, err := w.Net.Dial(ctx, ep); err == nil {
 		t.Fatal("https-only site answered port 80 before campaign")
 	}
 	const token = "tok-standalone"
 	w.SetChallenge(s.Hostname, token)
-	conn, err := w.Net.Dial(ctx, "acme-va", ep)
+	conn, err := w.Net.Dial(ctx, ep)
 	if err != nil {
 		t.Fatalf("standalone responder not bound: %v", err)
 	}
@@ -101,7 +101,7 @@ func TestChallengeStandaloneResponder(t *testing.T) {
 		t.Fatalf("standalone challenge = %v %v", resp, err)
 	}
 	w.ClearChallenge(s.Hostname)
-	if _, err := w.Net.Dial(ctx, "acme-va", ep); err == nil {
+	if _, err := w.Net.Dial(ctx, ep); err == nil {
 		t.Fatal("standalone responder still bound after ClearChallenge")
 	}
 }
@@ -125,7 +125,7 @@ func TestRotateCert(t *testing.T) {
 		t.Fatal("RotateCert refused a known host")
 	}
 
-	raw, err := w.Net.Dial(context.Background(), "lab", netip.AddrPortFrom(s.IP, 443))
+	raw, err := w.Net.Dial(context.Background(), netip.AddrPortFrom(s.IP, 443))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestRotateCertUpgradesHTTPOnly(t *testing.T) {
 	if s.Serving != BothRedirect {
 		t.Fatalf("Serving = %v, want BothRedirect", s.Serving)
 	}
-	conn, err := w.Net.Dial(context.Background(), "lab", netip.AddrPortFrom(s.IP, 443))
+	conn, err := w.Net.Dial(context.Background(), netip.AddrPortFrom(s.IP, 443))
 	if err != nil {
 		t.Fatalf("443 after upgrade: %v", err)
 	}

@@ -10,9 +10,6 @@ type Config struct {
 	// Scale multiplies the paper's population counts. 1.0 reproduces the
 	// full 135,408-hostname study; tests use small fractions.
 	Scale float64
-	// ScanTime is the instant certificates are judged against; the paper's
-	// main scan ran 22–26 April 2020.
-	ScanTime time.Time
 	// Flakiness is the fraction of reachable https sites given transient
 	// faults: their 443 endpoint fails the first one or two dials (plus
 	// injected dial latency on some) before serving normally, exercising
@@ -33,7 +30,7 @@ var (
 
 // DefaultConfig is the full-scale paper reproduction.
 func DefaultConfig() Config {
-	return Config{Seed: 42, Scale: 1.0, ScanTime: DefaultScanTime}
+	return Config{Seed: 42, Scale: 1.0}
 }
 
 // TestConfig is a small world for unit tests: every population is present
@@ -41,15 +38,12 @@ func DefaultConfig() Config {
 // even the rarest injected error classes get at least one site at this
 // scale.
 func TestConfig() Config {
-	return Config{Seed: 74, Scale: 0.02, ScanTime: DefaultScanTime}
+	return Config{Seed: 74, Scale: 0.02}
 }
 
 func (c Config) withDefaults() Config {
 	if c.Scale == 0 {
 		c.Scale = 1.0
-	}
-	if c.ScanTime.IsZero() {
-		c.ScanTime = DefaultScanTime
 	}
 	return c
 }

@@ -210,10 +210,11 @@ func (w *World) injectTransientFaults() {
 	}
 }
 
-// buildFirewall installs the national-firewall model (§7.1.2): dials from
-// the default external vantage to blocked Chinese endpoints time out. The
-// blocked set is the unreachable-but-resolving Chinese population, so the
-// worldwide calibration of reachable sites is untouched.
+// buildFirewall installs the national-firewall model (§7.1.2): every dial
+// to a blocked Chinese endpoint times out; the paper's VPN vantages
+// closer to China did not get through either. The blocked set
+// is the unreachable-but-resolving Chinese population, so the worldwide
+// calibration of reachable sites is untouched.
 func (w *World) buildFirewall() {
 	blocked := make(map[netip.Addr]bool)
 	for _, host := range w.UnreachableHosts {
@@ -232,10 +233,7 @@ func (w *World) buildFirewall() {
 	if len(blocked) == 0 {
 		return
 	}
-	w.Net.SetFirewall(func(fromVantage string, to netip.AddrPort) error {
-		if fromVantage == "cn-domestic" {
-			return nil // §7.1.2: VPN vantages closer to China did not help us either
-		}
+	w.Net.SetFirewall(func(to netip.AddrPort) error {
 		if blocked[to.Addr()] {
 			return simnet.ErrFirewallTimeout
 		}

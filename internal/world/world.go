@@ -102,12 +102,15 @@ type Site struct {
 
 // World is a fully built synthetic Internet.
 type World struct {
-	Cfg      Config
-	Net      *simnet.Network
-	DNS      *dnssim.Zone
-	CAs      *ca.Registry
-	Stores   map[string]*truststore.Store
-	Class    *hosting.Classifier
+	Cfg    Config
+	Net    *simnet.Network
+	DNS    *dnssim.Zone
+	CAs    *ca.Registry
+	Stores map[string]*truststore.Store
+	Class  *hosting.Classifier
+	// ScanTime is the instant certificates are judged against: always
+	// DefaultScanTime, the paper's main scan (22–26 April 2020), except
+	// while remediation or churn mint certificates at a later instant.
 	ScanTime time.Time
 	// Clock is the virtual clock the network (and its fault latency
 	// injection) runs on; scanners share it so backoff and injected
@@ -185,7 +188,7 @@ func Build(cfg Config) (*World, error) {
 		Net:       simnet.NewSized(2 * hostHint),
 		DNS:       dnssim.NewZoneSized(hostHint),
 		Class:     hosting.DefaultClassifier(),
-		ScanTime:  cfg.ScanTime,
+		ScanTime:  DefaultScanTime,
 		Sites:     make(map[string]*Site, hostHint),
 		ByCountry: make(map[string][]string),
 		Whitelist: make(map[string]string),
@@ -193,7 +196,7 @@ func Build(cfg Config) (*World, error) {
 	}
 	w.GovHosts = make([]string, 0, hostHint)
 	w.siteOrder = make([]string, 0, hostHint)
-	w.Clock = simclock.NewVirtual(cfg.ScanTime)
+	w.Clock = simclock.NewVirtual(DefaultScanTime)
 	w.Net.SetClock(w.Clock)
 	w.Net.SetSeed(cfg.Seed)
 

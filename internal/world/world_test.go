@@ -280,7 +280,7 @@ func TestServedSiteEndToEnd(t *testing.T) {
 	ctx := context.Background()
 
 	// http side redirects.
-	conn, err := w.Net.Dial(ctx, "lab", netip.AddrPortFrom(site.IP, 80))
+	conn, err := w.Net.Dial(ctx, netip.AddrPortFrom(site.IP, 80))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestServedSiteEndToEnd(t *testing.T) {
 	}
 
 	// https side serves a page over a verifiable chain.
-	raw, err := w.Net.Dial(ctx, "lab", netip.AddrPortFrom(site.IP, 443))
+	raw, err := w.Net.Dial(ctx, netip.AddrPortFrom(site.IP, 443))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +325,7 @@ func TestUnavailableSiteServes503(t *testing.T) {
 			continue
 		}
 		found = true
-		conn, err := w.Net.Dial(context.Background(), "lab", netip.AddrPortFrom(s.IP, 80))
+		conn, err := w.Net.Dial(context.Background(), netip.AddrPortFrom(s.IP, 80))
 		if err != nil {
 			t.Fatalf("dial unavailable site: %v", err)
 		}
@@ -503,7 +503,7 @@ func TestQuirkSitesHandshakeFail(t *testing.T) {
 		if s.Injected != ClassExcSSLProto || s.Fault != 0 {
 			continue
 		}
-		raw, err := w.Net.Dial(context.Background(), "lab", netip.AddrPortFrom(s.IP, 443))
+		raw, err := w.Net.Dial(context.Background(), netip.AddrPortFrom(s.IP, 443))
 		if err != nil {
 			t.Fatalf("dial: %v", err)
 		}
@@ -529,7 +529,7 @@ func TestBothNoRedirectServesBoth(t *testing.T) {
 		if s.Serving != BothNoRedirect || s.Injected != ClassValid {
 			continue
 		}
-		conn, err := w.Net.Dial(context.Background(), "lab", netip.AddrPortFrom(s.IP, 80))
+		conn, err := w.Net.Dial(context.Background(), netip.AddrPortFrom(s.IP, 80))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -559,7 +559,7 @@ func TestPageLinksParseable(t *testing.T) {
 	if site == nil {
 		t.Skip("no linked http site")
 	}
-	conn, err := w.Net.Dial(context.Background(), "lab", netip.AddrPortFrom(site.IP, 80))
+	conn, err := w.Net.Dial(context.Background(), netip.AddrPortFrom(site.IP, 80))
 	if err != nil {
 		t.Fatal(err)
 	}
