@@ -32,7 +32,6 @@ func main() {
 	fmt.Printf("worldwide government hostnames: %d\n", len(w.GovHosts))
 	fmt.Printf("unreachable hostnames:          %d\n", len(w.UnreachableHosts))
 	fmt.Printf("seed list:                      %d\n", len(w.SeedHosts))
-	fmt.Printf("hand-curated whitelist:         %d\n", len(w.Whitelist))
 	fmt.Printf("countries represented:          %d\n", len(w.ByCountry))
 	fmt.Printf("GSA datasets:                   %d (union %d hosts)\n",
 		len(w.USA.Datasets), len(w.USA.AllHosts()))
@@ -48,7 +47,12 @@ func main() {
 	for code, hosts := range w.ByCountry {
 		counts = append(counts, cc{code, len(hosts)})
 	}
-	sort.Slice(counts, func(i, j int) bool { return counts[i].n > counts[j].n })
+	sort.Slice(counts, func(i, j int) bool {
+		if counts[i].n != counts[j].n {
+			return counts[i].n > counts[j].n
+		}
+		return counts[i].code < counts[j].code
+	})
 	fmt.Printf("\nlargest country populations:\n")
 	for i, c := range counts {
 		if i >= *topCountries {

@@ -17,6 +17,7 @@ import (
 	"hash/fnv"
 	"net"
 	"net/netip"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -181,9 +182,8 @@ type Server struct {
 	orders map[string]*order
 	seq    int
 	policy *ReusePolicy
-	// Sliding rate-limit windows: grant timestamps in ascending order.
-	domainGrants map[string][]time.Time
-	globalGrants []time.Time
+	// grants holds the Limits windows' admitted orders.
+	grants Limiter
 }
 
 type order struct {
@@ -201,14 +201,13 @@ func NewServer(authority *ca.Authority, caDomain string, zone *dnssim.Zone, d Di
 		panic("acme: NewServer requires a clock")
 	}
 	return &Server{
-		Authority:    authority,
-		CADomain:     caDomain,
-		Zone:         zone,
-		Net:          d,
-		Clock:        clk,
-		orders:       make(map[string]*order),
-		policy:       NewReusePolicy(),
-		domainGrants: make(map[string][]time.Time),
+		Authority: authority,
+		CADomain:  caDomain,
+		Zone:      zone,
+		Net:       d,
+		Clock:     clk,
+		orders:    make(map[string]*order),
+		policy:    NewReusePolicy(),
 	}
 }
 
@@ -272,51 +271,47 @@ var multiPartSLD = map[string]bool{
 	"or": true, "org": true, "ne": true, "net": true,
 }
 
-// admitLocked applies the rate limits to one new order at time now,
-// recording the grant when admitted. Caller holds s.mu.
-func (s *Server) admitLocked(hostnames []string, now time.Time) error {
-	if s.Limits.Global > 0 && s.Limits.GlobalWindow > 0 {
-		s.globalGrants = pruneGrants(s.globalGrants, now.Add(-s.Limits.GlobalWindow))
-		if len(s.globalGrants) >= s.Limits.Global {
-			return &RateLimitError{
-				Scope:      "new-orders",
-				RetryAfter: s.globalGrants[0].Add(s.Limits.GlobalWindow),
-			}
+// Limiter holds the grants of RateLimits' sliding windows, each in
+// ascending time order. The server enforces its limits through one; a
+// client that mirrors the server's limits through another admits exactly
+// the orders the server would.
+type Limiter struct {
+	global []time.Time
+	domain map[string][]time.Time
+}
+
+// Admit applies lim to one new order for the given distinct registered
+// domains at time now: the global window first, then each domain's
+// window in order. An admitted order is recorded in every window it was
+// checked against. A refused one records nothing; the returned error
+// names the refusing window and when its oldest grant expires.
+func (l *Limiter) Admit(lim RateLimits, domains []string, now time.Time) (RateLimitError, bool) {
+	global := lim.Global > 0 && lim.GlobalWindow > 0
+	if global {
+		l.global = pruneGrants(l.global, now.Add(-lim.GlobalWindow))
+		if len(l.global) >= lim.Global {
+			return RateLimitError{Scope: "new-orders", RetryAfter: l.global[0].Add(lim.GlobalWindow)}, false
 		}
 	}
-	var domains []string
-	if s.Limits.PerDomain > 0 && s.Limits.PerDomainWindow > 0 {
-		for _, h := range hostnames {
-			d := RegisteredDomain(h)
-			seen := false
-			for _, prev := range domains {
-				if prev == d {
-					seen = true
-					break
-				}
+	if lim.PerDomain > 0 && lim.PerDomainWindow > 0 {
+		if l.domain == nil {
+			l.domain = make(map[string][]time.Time)
+		}
+		for _, d := range domains {
+			g := pruneGrants(l.domain[d], now.Add(-lim.PerDomainWindow))
+			l.domain[d] = g
+			if len(g) >= lim.PerDomain {
+				return RateLimitError{Scope: "registered-domain", Domain: d, RetryAfter: g[0].Add(lim.PerDomainWindow)}, false
 			}
-			if seen {
-				continue
-			}
-			s.domainGrants[d] = pruneGrants(s.domainGrants[d], now.Add(-s.Limits.PerDomainWindow))
-			if len(s.domainGrants[d]) >= s.Limits.PerDomain {
-				return &RateLimitError{
-					Scope:      "registered-domain",
-					Domain:     d,
-					RetryAfter: s.domainGrants[d][0].Add(s.Limits.PerDomainWindow),
-				}
-			}
-			domains = append(domains, d)
+		}
+		for _, d := range domains {
+			l.domain[d] = append(l.domain[d], now)
 		}
 	}
-	// Admitted: record the grant in every window it was checked against.
-	if s.Limits.Global > 0 && s.Limits.GlobalWindow > 0 {
-		s.globalGrants = append(s.globalGrants, now)
+	if global {
+		l.global = append(l.global, now)
 	}
-	for _, d := range domains {
-		s.domainGrants[d] = append(s.domainGrants[d], now)
-	}
-	return nil
+	return RateLimitError{}, true
 }
 
 // pruneGrants drops grants at or before the window floor. Grants are
@@ -332,6 +327,18 @@ func pruneGrants(grants []time.Time, floor time.Time) []time.Time {
 	return append(grants[:0], grants[i:]...)
 }
 
+// registeredDomains returns the distinct registered domains of an
+// order's hostnames, in first-seen order.
+func registeredDomains(hostnames []string) []string {
+	var domains []string
+	for _, h := range hostnames {
+		if d := RegisteredDomain(h); !slices.Contains(domains, d) {
+			domains = append(domains, d)
+		}
+	}
+	return domains
+}
+
 // NewOrder registers an order and mints challenge tokens, applying the
 // configured rate limits first.
 func (s *Server) NewOrder(req OrderRequest) (OrderResponse, error) {
@@ -345,8 +352,8 @@ func (s *Server) NewOrder(req OrderRequest) (OrderResponse, error) {
 	now := s.Clock.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.admitLocked(req.Hostnames, now); err != nil {
-		return OrderResponse{}, err
+	if refused, ok := s.grants.Admit(s.Limits, registeredDomains(req.Hostnames), now); !ok {
+		return OrderResponse{}, &refused
 	}
 	s.seq++
 	o := &order{

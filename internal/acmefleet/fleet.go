@@ -239,7 +239,12 @@ type Fleet struct {
 	// mirror underestimates the server's real limits).
 	nextGlobal time.Time
 	nextDomain map[string]time.Time
-	mirror     limiter
+	// mirror applies Cfg.Limits client-side: the fleet admits at most the
+	// server's capacity per window, in due order, so a correctly
+	// configured campaign never earns a 429. Decisions depend only on
+	// counts of identically timestamped grants, never on worker
+	// interleaving.
+	mirror acme.Limiter
 }
 
 // hostState is the fleet's bookkeeping for one enrolled host.
@@ -279,7 +284,6 @@ func New(w *world.World, set *resultset.Set, cfg Config) *Fleet {
 		start:      w.ScanTime,
 		byName:     make(map[string]*hostState),
 		nextDomain: make(map[string]time.Time),
-		mirror:     limiter{lim: cfg.Limits},
 	}
 	f.Client = &acme.Client{
 		Server:     APIAddr,
@@ -438,7 +442,8 @@ func (f *Fleet) admit(domain string, now time.Time) (time.Time, bool) {
 		}
 		delete(f.nextDomain, domain)
 	}
-	return f.mirror.admit(domain, now)
+	refused, ok := f.mirror.Admit(f.Cfg.Limits, []string{domain}, now)
+	return refused.RetryAfter, ok
 }
 
 // outcome is one order attempt's result.
@@ -563,50 +568,6 @@ func (f *Fleet) apply(h *hostState, o outcome, now time.Time) {
 		h.due = now.Add(simclock.Backoff(backoffBase, backoffMax, f.Cfg.Seed, h.fails-1, []byte(h.hostname)))
 		heap.Push(&f.queue, h)
 	}
-}
-
-// limiter mirrors acme.RateLimits client-side: the fleet admits at most
-// the server's capacity per window, in due order, so a correctly
-// configured campaign never earns a 429. Decisions depend only on counts
-// of identically timestamped grants, never on worker interleaving.
-type limiter struct {
-	lim    acme.RateLimits
-	global []time.Time
-	domain map[string][]time.Time
-}
-
-func (l *limiter) admit(domain string, now time.Time) (time.Time, bool) {
-	if l.lim.Global > 0 && l.lim.GlobalWindow > 0 {
-		l.global = prune(l.global, now.Add(-l.lim.GlobalWindow))
-		if len(l.global) >= l.lim.Global {
-			return l.global[0].Add(l.lim.GlobalWindow), false
-		}
-	}
-	if l.lim.PerDomain > 0 && l.lim.PerDomainWindow > 0 {
-		if l.domain == nil {
-			l.domain = make(map[string][]time.Time)
-		}
-		l.domain[domain] = prune(l.domain[domain], now.Add(-l.lim.PerDomainWindow))
-		if len(l.domain[domain]) >= l.lim.PerDomain {
-			return l.domain[domain][0].Add(l.lim.PerDomainWindow), false
-		}
-		l.domain[domain] = append(l.domain[domain], now)
-	}
-	if l.lim.Global > 0 && l.lim.GlobalWindow > 0 {
-		l.global = append(l.global, now)
-	}
-	return time.Time{}, true
-}
-
-func prune(grants []time.Time, floor time.Time) []time.Time {
-	i := 0
-	for i < len(grants) && !grants[i].After(floor) {
-		i++
-	}
-	if i == 0 {
-		return grants
-	}
-	return append(grants[:0], grants[i:]...)
 }
 
 // dueHeap orders hosts by (due, hostname): the renewal priority queue.

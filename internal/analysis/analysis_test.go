@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/geo"
 	"repro/internal/govfilter"
 	"repro/internal/resultset"
 	"repro/internal/scanner"
@@ -78,7 +79,7 @@ func TestInvalidCategoriesSorted(t *testing.T) {
 }
 
 func TestIssuerBreakdownLetsEncryptLeads(t *testing.T) {
-	issuers := IssuerBreakdown(worldScan(t), testWorld.Stores["apple"])
+	issuers := IssuerBreakdown(worldScan(t))
 	if len(issuers) < 10 {
 		t.Fatalf("only %d issuers", len(issuers))
 	}
@@ -112,26 +113,14 @@ func TestEVBreakdownAndStats(t *testing.T) {
 	if len(evIssuers) == 0 {
 		t.Fatal("no EV issuers")
 	}
+	// The breakdown counts exactly the EV hosts the stats count.
+	total, valid := 0, 0
 	for _, s := range evIssuers {
-		if s.EV != s.Total {
-			t.Errorf("EV breakdown contains non-EV rows: %+v", s)
-		}
+		total += s.Total
+		valid += s.Valid
 	}
-}
-
-func TestWildcardStats(t *testing.T) {
-	s := ComputeWildcardStats(worldScan(t))
-	if s.Analyzed == 0 || s.Wildcard == 0 {
-		t.Fatal("no wildcard data")
-	}
-	share := 100 * float64(s.Wildcard) / float64(s.Analyzed)
-	// §5.3: 39.21% wildcard, 22.67% of them invalid.
-	if share < 25 || share > 55 {
-		t.Errorf("wildcard share = %.1f%%, want ~39%%", share)
-	}
-	invShare := 100 * float64(s.WildcardInvalid) / float64(s.Wildcard)
-	if invShare < 10 || invShare > 45 {
-		t.Errorf("wildcard invalid share = %.1f%%, want ~23%%", invShare)
+	if total != ev.Hosts || valid != ev.Valid {
+		t.Errorf("EV breakdown totals %d/%d valid, EV stats %d/%d", total, valid, ev.Hosts, ev.Valid)
 	}
 }
 
@@ -193,7 +182,8 @@ func TestDurationStats(t *testing.T) {
 }
 
 func TestKeyReuse(t *testing.T) {
-	s := ComputeKeyReuse(worldScan(t))
+	set := worldScan(t)
+	s := ComputeKeyReuse(set)
 	if len(s.Clusters) == 0 {
 		t.Fatal("no reuse clusters")
 	}
@@ -208,7 +198,7 @@ func TestKeyReuse(t *testing.T) {
 		t.Errorf("found %d valid cross-country clusters, want 0", s.ValidCrossCountry)
 	}
 	// The widest cluster is the self-signed localhost certificate.
-	if !s.CrossCountry[0].SelfSigned {
+	if r, ok := set.Lookup(s.CrossCountry[0].Hosts[0]); !ok || !r.Chain[0].SelfSigned() {
 		t.Error("widest cross-country cluster should be self-signed")
 	}
 }
@@ -370,14 +360,16 @@ func TestCloudCDNShare(t *testing.T) {
 }
 
 func TestGovFilterCoversWorld(t *testing.T) {
-	// The world's hostnames must be recognizable by the government filter
-	// (modulo whitelist countries).
+	// The world's hostnames must be recognizable by the government filter,
+	// except those of countries without a government extension (§4.2.3),
+	// which sit on the plain ccTLD.
 	f := govfilter.New()
-	for h, cc := range testWorld.Whitelist {
-		f.Whitelist(h, cc)
-	}
 	misses := 0
 	for _, h := range testWorld.GovHosts {
+		cc := testWorld.CountryOf(h)
+		if c, ok := geo.ByCode(cc); ok && c.Convention == geo.ConvNone && cc != "us" {
+			continue
+		}
 		if !f.IsGov(h) {
 			misses++
 		}

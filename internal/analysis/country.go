@@ -41,9 +41,6 @@ type CrossGovStats struct {
 	// OutDegree maps a country to the number of *other* governments its
 	// sites link to.
 	OutDegree map[string]int
-	// InDegree maps a country to the number of other governments linking
-	// to it.
-	InDegree map[string]int
 	// ShareLinkingAtLeast7 is the fraction of countries linking to >= 7
 	// other governments (paper: 75%).
 	ShareLinkingAtLeast7 float64
@@ -82,7 +79,7 @@ func ComputeCrossGov(links map[string][]string, countryOf func(string) string) C
 			inSets[dstCC][srcCC] = true
 		}
 	}
-	s := CrossGovStats{OutDegree: map[string]int{}, InDegree: map[string]int{}}
+	s := CrossGovStats{OutDegree: map[string]int{}}
 	atLeast7 := 0
 	for cc, set := range outSets {
 		s.OutDegree[cc] = len(set)
@@ -94,8 +91,7 @@ func ComputeCrossGov(links map[string][]string, countryOf func(string) string) C
 			s.TopLinker = cc
 		}
 	}
-	for cc, set := range inSets {
-		s.InDegree[cc] = len(set)
+	for _, set := range inSets {
 		if len(set) >= 50 {
 			s.HeavilyLinked++
 		}

@@ -16,8 +16,6 @@ type HostingBucket struct {
 	HTTPS int
 	// Valid counts hosts with fully valid https.
 	Valid int
-	// HTTPOnly counts plain-http hosts.
-	HTTPOnly int
 }
 
 // ValidPctOfTotal is the share of all hosts in the bucket with valid https
@@ -37,8 +35,6 @@ func fillBucket(set *resultset.Set, label string, indices []int) HostingBucket {
 			b.Valid++
 		case r.HasHTTPS():
 			b.HTTPS++
-		default:
-			b.HTTPOnly++
 		}
 	}
 	return b

@@ -16,8 +16,6 @@ type IssuerStats struct {
 	Total   int
 	Valid   int
 	Invalid int
-	// EV counts certificates carrying a trusted EV policy OID.
-	EV int
 }
 
 // InvalidPct is the issuer's invalidity rate.
@@ -36,7 +34,7 @@ func isEVLeaf(set *resultset.Set, i int, store *truststore.Store) bool {
 // IssuerBreakdown aggregates the set's issuer index, sorted by total
 // descending (then name). Hosts without a retrieved chain are skipped, as
 // are the paper's 92 hosts without issuer information.
-func IssuerBreakdown(set *resultset.Set, store *truststore.Store) []IssuerStats {
+func IssuerBreakdown(set *resultset.Set) []IssuerStats {
 	issuers := set.Issuers()
 	out := make([]IssuerStats, 0, len(issuers))
 	for _, cn := range issuers {
@@ -47,9 +45,6 @@ func IssuerBreakdown(set *resultset.Set, store *truststore.Store) []IssuerStats 
 				s.Valid++
 			} else {
 				s.Invalid++
-			}
-			if store != nil && isEVLeaf(set, i, store) {
-				s.EV++
 			}
 		}
 		out = append(out, s)
@@ -87,7 +82,6 @@ func EVIssuerBreakdown(set *resultset.Set, store *truststore.Store) []IssuerStat
 				continue
 			}
 			s.Total++
-			s.EV++
 			if set.At(i).Verify.Valid() {
 				s.Valid++
 			} else {
@@ -125,31 +119,6 @@ func ComputeEVStats(set *resultset.Set, store *truststore.Store) EVStats {
 			if set.At(i).Verify.Valid() {
 				s.Valid++
 			}
-		}
-	}
-	return s
-}
-
-// WildcardStats reports wildcard certificate usage (§5.3: 39.21% of
-// analyzed hosts, 22.67% of them invalid).
-type WildcardStats struct {
-	Analyzed        int
-	Wildcard        int
-	WildcardInvalid int
-}
-
-// ComputeWildcardStats counts wildcard certificates over the chained
-// index.
-func ComputeWildcardStats(set *resultset.Set) WildcardStats {
-	s := WildcardStats{Analyzed: len(set.Chained())}
-	for _, i := range set.Chained() {
-		r := set.At(i)
-		if !r.Chain[0].HasWildcard() {
-			continue
-		}
-		s.Wildcard++
-		if !r.Verify.Valid() {
-			s.WildcardInvalid++
 		}
 	}
 	return s

@@ -83,10 +83,6 @@ type DurationStats struct {
 	Mult365 int
 	// EpochCerts counts certificates with a 1970 issue date.
 	EpochCerts int
-	// ValidIssueDates and InvalidIssueDates carry NotBefore times for the
-	// Figure 3/10 scatter.
-	ValidIssueDates   []time.Time
-	InvalidIssueDates []time.Time
 }
 
 // ComputeDurationStats aggregates certificate lifetimes over the chained
@@ -100,11 +96,9 @@ func ComputeDurationStats(set *resultset.Set) DurationStats {
 		life := leaf.ValidityDuration()
 		if r.Verify.Valid() {
 			s.ValidLifetimes = append(s.ValidLifetimes, life)
-			s.ValidIssueDates = append(s.ValidIssueDates, leaf.NotBefore)
 			continue
 		}
 		s.InvalidLifetimes = append(s.InvalidLifetimes, life)
-		s.InvalidIssueDates = append(s.InvalidIssueDates, leaf.NotBefore)
 		days := int(life / day)
 		if days > 3*365 {
 			s.InvalidOver3y++

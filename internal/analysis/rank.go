@@ -63,7 +63,6 @@ type RankComparison struct {
 	Random    RankSeries
 	Matched   RankSeries
 	TopNonGov RankSeries
-	Bins      int
 }
 
 // rankedSample is one observation.
@@ -114,7 +113,6 @@ func ComputeRankComparison(tl *world.TopLists, set *resultset.Set, seed int64, n
 		Random:    buildSeries("non-government (uniform)", sample(randomRanks), nBins, tl.Max),
 		Matched:   buildSeries("non-government (rank-matched)", sample(matchedRanks), nBins, tl.Max),
 		TopNonGov: buildSeries("non-government (top)", sample(topRanks), nBins, tl.Max),
-		Bins:      nBins,
 	}
 }
 

@@ -8,18 +8,10 @@ import (
 
 // ReuseCluster is one certificate served by multiple hostnames (§5.3.3).
 type ReuseCluster struct {
-	// Fingerprint identifies the exact certificate.
-	Fingerprint [32]byte
 	// Hosts lists the hostnames serving it.
 	Hosts []string
 	// Countries lists the distinct countries involved, sorted.
 	Countries []string
-	// SelfSigned marks bare self-signed certificates (the most-reused
-	// kind in the study).
-	SelfSigned bool
-	// Valid marks clusters whose certificate validates on every host
-	// (legitimate same-government wildcard sharing).
-	Valid bool
 }
 
 // KeyReuseStats reproduces the §5.3.3 numbers.
@@ -53,7 +45,6 @@ func ComputeKeyReuse(set *resultset.Set) KeyReuseStats {
 		ccSet := map[string]bool{}
 		var countries []string
 		allValid := true
-		selfSigned := set.At(indices[0]).Chain[0].SelfSigned()
 		for _, i := range indices {
 			r := set.At(i)
 			hosts = append(hosts, r.Hostname)
@@ -67,13 +58,7 @@ func ComputeKeyReuse(set *resultset.Set) KeyReuseStats {
 		}
 		sort.Strings(countries)
 		sort.Strings(hosts)
-		cl := ReuseCluster{
-			Fingerprint: fp,
-			Hosts:       hosts,
-			Countries:   countries,
-			SelfSigned:  selfSigned,
-			Valid:       allValid,
-		}
+		cl := ReuseCluster{Hosts: hosts, Countries: countries}
 		s.Clusters = append(s.Clusters, cl)
 		if len(countries) >= 2 {
 			s.CrossCountry = append(s.CrossCountry, cl)

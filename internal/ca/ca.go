@@ -55,7 +55,6 @@ type Authority struct {
 	Profile
 	Root         *cert.Certificate
 	Intermediate *cert.Certificate
-	rootKey      cert.KeyID
 	interKey     cert.KeyID
 	serial       uint64
 }
@@ -102,7 +101,6 @@ func NewRegistry(r *rand.Rand) *Registry {
 			Profile:      p,
 			Root:         root,
 			Intermediate: inter,
-			rootKey:      rootKey.ID,
 			interKey:     interKey.ID,
 		}
 		reg.byName[p.Name] = a

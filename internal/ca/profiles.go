@@ -116,12 +116,3 @@ func BuiltinProfiles() []Profile {
 			SigAlg: cert.SHA256WithRSA, KeyType: cert.KeyRSA, KeyBits: 2048, DefaultLifetime: Lifetime2y},
 	}
 }
-
-// NSSOwnerCountries reproduces the §7.3.2 jurisdiction analysis of the
-// Mozilla NSS store: number of trusted root CA owners by country of
-// registration. The USA hosts 7x more CA owners than the runners-up.
-var NSSOwnerCountries = map[string]int{
-	"US": 42, "BM": 6, "ES": 6, "TW": 4, "CN": 4, "IN": 4, "BE": 4,
-	"GB": 3, "DE": 3, "FR": 3, "JP": 3, "CH": 2, "PL": 2, "IT": 2,
-	"GR": 1, "NO": 1, "KR": 1, "NL": 1, "HU": 1, "TR": 1, "IL": 1,
-}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"os"
 	"sync"
 	"testing"
@@ -202,5 +203,38 @@ func TestExperimentsMatchGolden(t *testing.T) {
 		}
 		t.Fatalf("experiment transcript diverges from golden at byte %d:\n--- got ---\n%s\n--- want ---\n%s",
 			diffAt, got[lo:hiG], golden[lo:hiW])
+	}
+}
+
+// TestCancelledDatasetReadDoesNotPoison: a reader that gives up during a
+// cold dataset's first build (a serving client hanging up mid-Pin) gets
+// ctx.Err(), and the next reader still gets the whole corpus — for a
+// scanned dataset and for usa:all, which assembles itself from the
+// per-key sets.
+func TestCancelledDatasetReadDoesNotPoison(t *testing.T) {
+	s := MustNewStudy(world.TestConfig())
+	fresh := MustNewStudy(world.TestConfig())
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	ctx := context.Background()
+	for _, name := range []string{"rok", "usa:all"} {
+		if _, err := s.Dataset(cancelled, name); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: cancelled read err = %v, want context.Canceled", name, err)
+		}
+		// The experiments' accessors return an empty set instead.
+		if set := s.mustDataset(cancelled, name); set.Len() != 0 {
+			t.Fatalf("%s: cancelled accessor returned %d rows", name, set.Len())
+		}
+		got, err := s.Dataset(ctx, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.Dataset(ctx, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sameSet(got, want); err != nil {
+			t.Errorf("%s after a cancelled read: %v", name, err)
+		}
 	}
 }

@@ -134,7 +134,7 @@ func runF1(ctx context.Context, s *Study) (string, error) {
 }
 
 func runF2(ctx context.Context, s *Study) (string, error) {
-	issuers := analysis.IssuerBreakdown(s.Worldwide(ctx), s.Store())
+	issuers := analysis.IssuerBreakdown(s.Worldwide(ctx))
 	return report.Issuers("Figure 2: Top 40 Cert Issuers for Government Websites", issuers, 40), nil
 }
 
@@ -180,7 +180,7 @@ func runF7(ctx context.Context, s *Study) (string, error) {
 }
 
 func runF8(ctx context.Context, s *Study) (string, error) {
-	issuers := analysis.IssuerBreakdown(s.USAAll(ctx), s.Store())
+	issuers := analysis.IssuerBreakdown(s.USAAll(ctx))
 	return report.Issuers("Figure 8: USA certificate validity by issuing authority", issuers, 40), nil
 }
 
@@ -198,7 +198,7 @@ func runF10(ctx context.Context, s *Study) (string, error) {
 }
 
 func runF11(ctx context.Context, s *Study) (string, error) {
-	issuers := analysis.IssuerBreakdown(s.ROK(ctx), s.Store())
+	issuers := analysis.IssuerBreakdown(s.ROK(ctx))
 	return report.Issuers("Figure 11: ROK certificate validity by issuing authority", issuers, 40), nil
 }
 
@@ -444,8 +444,7 @@ func runE4(ctx context.Context, s *Study) (string, error) {
 	b.WriteString("===========================================================\n")
 	fmt.Fprintf(&b, "snapshots: %s -> %s\n", before.Taken.Format("2006-01-02"), after.Taken.Format("2006-01-02"))
 	fmt.Fprintf(&b, "diff: %s\n", c.Summary())
-	gaps := longitudinal.GapReport(after, longitudinal.ValidHTTPS)
-	fmt.Fprintf(&b, "hosts still below valid https: %d\n", len(gaps))
+	fmt.Fprintf(&b, "hosts still below valid https: %d\n", longitudinal.GapReport(after, longitudinal.ValidHTTPS))
 	b.WriteString("(regressions are dominated by 90-day certificates lapsing without\n")
 	b.WriteString(" renewal between the scans — deterioration the paper could not\n")
 	b.WriteString(" measure because it only re-scanned previously invalid hosts.)\n")

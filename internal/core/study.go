@@ -282,10 +282,15 @@ func (s *Study) MarkDatasetDirty(name string, hosts []string) bool {
 func (s *Study) DatasetInvalidations(name string) int { return s.datasets.Invalidations(name) }
 
 // mustDataset resolves a name registered at construction; a miss is a
-// programming error, not a runtime condition.
+// programming error, not a runtime condition. A ctx that ended yields an
+// empty set, and RunAllExperiments discards what an experiment rendered
+// from it.
 func (s *Study) mustDataset(ctx context.Context, name string) *resultset.Set {
 	set, err := s.datasets.Get(ctx, name)
 	if err != nil {
+		if ctx.Err() != nil {
+			return resultset.New(nil, s.indexOptions())
+		}
 		panic(err)
 	}
 	return set

@@ -19,9 +19,9 @@ type SuiteResult struct {
 }
 
 // RunAllExperiments runs the full registry in order and returns the
-// artifacts in that order. The first error aborts the suite: later
-// experiments never start, and the successfully rendered prefix is
-// returned alongside the error.
+// artifacts in that order. The first error, or the ctx ending, aborts the
+// suite: later experiments never start, and the successfully rendered
+// prefix is returned alongside the error.
 func RunAllExperiments(ctx context.Context, s *Study, _ SuiteOptions) ([]SuiteResult, error) {
 	exps, _ := registry()
 	results := make([]SuiteResult, 0, len(exps))
@@ -30,6 +30,11 @@ func RunAllExperiments(ctx context.Context, s *Study, _ SuiteOptions) ([]SuiteRe
 			return results, err
 		}
 		out, err := exps[i].Run(ctx, s)
+		if err == nil {
+			// An experiment whose ctx ended mid-run rendered from empty
+			// datasets: its output is not a result.
+			err = ctx.Err()
+		}
 		if err != nil {
 			return results, fmt.Errorf("%s: %w", exps[i].ID, err)
 		}

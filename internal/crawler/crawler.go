@@ -44,10 +44,6 @@ type LevelStats struct {
 // Stats is a full crawl trace.
 type Stats struct {
 	Levels []LevelStats
-	// TotalFetched counts pages fetched.
-	TotalFetched int
-	// TotalRetrieved counts link-host observations before dedup.
-	TotalRetrieved int
 }
 
 // fetchConcurrency bounds parallel fetches per level.
@@ -94,8 +90,6 @@ func (c *Crawler) Crawl(ctx context.Context, seeds []string) ([]string, Stats) {
 			break
 		}
 		links := c.fetchLevel(ctx, frontier)
-		stats.TotalFetched += len(frontier)
-		stats.TotalRetrieved += len(links)
 
 		var next []string
 		newGov := 0

@@ -63,16 +63,10 @@ type entry struct {
 	dirty map[string]struct{}
 	// inflight is non-nil while a scan runs; waiters block on it.
 	inflight chan struct{}
-	// pins holds the generations readers have pinned (Pin): each keeps its
-	// Set reachable until the last reader releases it, independent of
-	// invalidation and patching. Entries exist only while readers > 0.
-	pins map[int]*pinState
-}
-
-// pinState is the registry-side record of one pinned generation.
-type pinState struct {
-	set     *resultset.Set
-	readers int
+	// pins counts the readers holding each pinned generation (Pin). Each
+	// Pinned keeps its own Set reachable until it is released, independent
+	// of invalidation and patching. Entries exist only while readers > 0.
+	pins map[int]int
 }
 
 // Registry holds the named datasets.
@@ -112,7 +106,9 @@ func (r *Registry) Names() []string {
 
 // Get returns the dataset's indexed results, scanning on first use (or
 // after invalidation). Concurrent callers share one scan; a scan whose
-// generation was invalidated mid-flight is discarded and redone.
+// generation was invalidated mid-flight is discarded and redone. A build
+// or patch whose ctx ends is never installed: Get returns ctx.Err() and
+// leaves the dataset as it found it.
 func (r *Registry) Get(ctx context.Context, name string) (*resultset.Set, error) {
 	set, _, err := r.get(ctx, name)
 	return set, err
@@ -175,8 +171,19 @@ func (r *Registry) get(ctx context.Context, name string) (*resultset.Set, int, e
 		r.mu.Lock()
 		e.inflight = nil
 		close(done)
-		if err != nil {
+		// A scan whose ctx ended returns placeholder rows for the hosts it
+		// never probed; installing them would serve that partial corpus to
+		// every later reader.
+		if err != nil || ctx.Err() != nil {
+			// Put back what the claim took, unless the dataset was
+			// invalidated meanwhile. Waiters then build for themselves.
+			if e.gen == gen {
+				e.set, e.dirty = base, dirty
+			}
 			r.mu.Unlock()
+			if ctx.Err() != nil {
+				return nil, 0, ctx.Err()
+			}
 			return nil, 0, fmt.Errorf("dataset: building %s: %w", name, err)
 		}
 		if e.gen == gen {
@@ -240,14 +247,9 @@ func (r *Registry) Pin(ctx context.Context, name string) (*Pinned, error) {
 	r.mu.Lock()
 	e := r.entries[name]
 	if e.pins == nil {
-		e.pins = make(map[int]*pinState, 2)
+		e.pins = make(map[int]int, 2)
 	}
-	ps := e.pins[gen]
-	if ps == nil {
-		ps = &pinState{set: set}
-		e.pins[gen] = ps
-	}
-	ps.readers++
+	e.pins[gen]++
 	r.mu.Unlock()
 	return &Pinned{r: r, name: name, gen: gen, set: set}, nil
 }
@@ -261,13 +263,14 @@ func (r *Registry) unpin(name string, gen int) {
 	if !ok {
 		return
 	}
-	ps := e.pins[gen]
-	if ps == nil {
+	n, ok := e.pins[gen]
+	if !ok {
 		return
 	}
-	ps.readers--
-	if ps.readers <= 0 {
+	if n <= 1 {
 		delete(e.pins, gen)
+	} else {
+		e.pins[gen] = n - 1
 	}
 }
 
@@ -311,7 +314,7 @@ func (r *Registry) Generations() []GenerationInfo {
 			sort.Ints(gens)
 			info.Pinned = make([]PinnedGeneration, len(gens))
 			for i, g := range gens {
-				info.Pinned[i] = PinnedGeneration{Generation: g, Readers: e.pins[g].readers}
+				info.Pinned[i] = PinnedGeneration{Generation: g, Readers: e.pins[g]}
 			}
 		}
 		out = append(out, info)

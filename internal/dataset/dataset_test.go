@@ -2,6 +2,7 @@ package dataset_test
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -259,5 +260,63 @@ func TestGetInvalidateRace(t *testing.T) {
 		if _, err := r.Get(ctx, name); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// ctxScan is a scan that, like scanner.ScanAll, returns hostname-only
+// placeholder rows once its context has ended.
+func ctxScan(scanned *[][]string) dataset.ScanFunc {
+	return func(ctx context.Context, hosts []string) *resultset.Set {
+		*scanned = append(*scanned, append([]string(nil), hosts...))
+		rs := make([]scanner.Result, len(hosts))
+		for i, h := range hosts {
+			rs[i] = scanner.Result{Hostname: h, Available: ctx.Err() == nil}
+		}
+		return resultset.New(rs, resultset.Options{})
+	}
+}
+
+// TestCancelledBuildNotInstalled: a build or patch whose context ended
+// returns ctx.Err() and installs nothing, so the next reader gets the
+// whole corpus — a fresh build, or the patch of the restored base and
+// dirty set.
+func TestCancelledBuildNotInstalled(t *testing.T) {
+	var scanned [][]string
+	hosts := []string{"a.gov", "b.gov", "c.gov"}
+	r := dataset.NewRegistry(ctxScan(&scanned))
+	r.Register(dataset.Source{Name: "d", Hosts: func() []string { return hosts }})
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	ctx := context.Background()
+
+	if set, err := r.Get(cancelled, "d"); !errors.Is(err, context.Canceled) || set != nil {
+		t.Fatalf("cancelled first build returned set=%t, err=%v; want no set, context.Canceled", set != nil, err)
+	}
+	if r.Cached("d") {
+		t.Fatal("cancelled build cached")
+	}
+	base, err := r.Get(ctx, "d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := base.Counts(); c.Total != len(hosts) || c.Unavailable != 0 {
+		t.Fatalf("build after a cancelled one: %+v, want all %d hosts available", c, len(hosts))
+	}
+
+	r.MarkDirty("d", []string{"b.gov"})
+	if _, err := r.Get(cancelled, "d"); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled patch err = %v, want context.Canceled", err)
+	}
+	got, err := r.Get(ctx, "d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := got.Counts(); c.Unavailable != 0 {
+		t.Fatalf("patch after a cancelled one: %+v, want every host available", c)
+	}
+	// Full build (cancelled), full build, patch (cancelled), patch: the
+	// cancelled patch left the base and its dirty host in place.
+	if len(scanned) != 4 || len(scanned[3]) != 1 || scanned[3][0] != "b.gov" {
+		t.Fatalf("scans = %v, want the last to re-probe only b.gov", scanned)
 	}
 }

@@ -27,7 +27,7 @@ const (
 	ConvGovernment GovConvention = "government" // rare
 	ConvGovt       GovConvention = "govt"       // New Zealand
 	ConvAdmin      GovConvention = "admin"      // Switzerland
-	ConvNone       GovConvention = ""           // no dedicated convention (whitelist only)
+	ConvNone       GovConvention = ""           // no dedicated convention (plain ccTLD)
 )
 
 // Country describes one country or territory in the study.

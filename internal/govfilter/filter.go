@@ -3,8 +3,8 @@
 // known government label followed by a valid country code (e.g.
 // environment.gov.au, stats.data.gouv.fr, www.pwebapps.ezv.admin.ch), or in
 // one of the United States' dedicated TLDs (.gov, .mil, .fed.us). The filter
-// trades recall for precision — governments using .com/.org/.net are missed
-// unless explicitly whitelisted (§4.2.3).
+// trades recall for precision — governments using .com/.org/.net, or a
+// country's plain ccTLD, are missed (§4.2.3).
 package govfilter
 
 import (
@@ -16,16 +16,12 @@ import (
 // Filter classifies hostnames as government or non-government.
 type Filter struct {
 	// suffix -> ISO country code
-	suffixes  map[string]string
-	whitelist map[string]string // hostname -> country code
+	suffixes map[string]string
 }
 
 // New builds a Filter covering every country in the geo database.
 func New() *Filter {
-	f := &Filter{
-		suffixes:  make(map[string]string),
-		whitelist: make(map[string]string),
-	}
+	f := &Filter{suffixes: make(map[string]string)}
 	for _, c := range geo.All() {
 		for _, s := range c.GovSuffixes() {
 			f.suffixes[s] = c.Code
@@ -34,24 +30,12 @@ func New() *Filter {
 	return f
 }
 
-// Whitelist registers a hand-curated hostname that does not follow a
-// standard government extension (§4.2.3), attributing it to a country.
-func (f *Filter) Whitelist(hostname, countryCode string) {
-	f.whitelist[normalize(hostname)] = strings.ToLower(countryCode)
-}
-
-// WhitelistSize reports how many hand-curated hostnames are registered.
-func (f *Filter) WhitelistSize() int { return len(f.whitelist) }
-
 // Match reports whether hostname is a government hostname, and if so,
 // which country it belongs to.
 func (f *Filter) Match(hostname string) (country string, ok bool) {
 	h := normalize(hostname)
 	if h == "" {
 		return "", false
-	}
-	if cc, ok := f.whitelist[h]; ok {
-		return cc, true
 	}
 	labels := strings.Split(h, ".")
 	if len(labels) < 2 {
@@ -80,13 +64,6 @@ func (f *Filter) Match(hostname string) (country string, ok bool) {
 func (f *Filter) IsGov(hostname string) bool {
 	_, ok := f.Match(hostname)
 	return ok
-}
-
-// CountryOf returns the country code for a government hostname, or "" when
-// the hostname does not match the filter.
-func (f *Filter) CountryOf(hostname string) string {
-	cc, _ := f.Match(hostname)
-	return cc
 }
 
 // HasValidCCTLD reports whether the hostname ends in a country-code TLD

@@ -49,7 +49,6 @@ func (l *List) Covers(hostname string) bool {
 // submission requirements (hstspreload.org's, simplified to what the scan
 // observes): valid https, an http→https redirect, and an HSTS header.
 type Eligibility struct {
-	Hostname string
 	Eligible bool
 	// Missing lists the unmet requirements.
 	Missing []string
@@ -57,7 +56,7 @@ type Eligibility struct {
 
 // CheckEligibility evaluates a scan result.
 func CheckEligibility(r *scanner.Result) Eligibility {
-	e := Eligibility{Hostname: r.Hostname}
+	var e Eligibility
 	if !r.ValidHTTPS() {
 		e.Missing = append(e.Missing, "valid https")
 	}
@@ -74,7 +73,6 @@ func CheckEligibility(r *scanner.Result) Eligibility {
 // Impact summarizes what preloading a suffix would do to a population: the
 // DotGov question of §7.2.2.
 type Impact struct {
-	Suffix string
 	// Covered counts hosts under the suffix.
 	Covered int
 	// Ready counts covered hosts already serving valid https.
@@ -98,7 +96,7 @@ func (i Impact) ReadyPct() float64 {
 func SimulateImpact(suffix string, set *resultset.Set) Impact {
 	l := NewList()
 	l.Add(suffix)
-	imp := Impact{Suffix: suffix}
+	var imp Impact
 	for i := 0; i < set.Len(); i++ {
 		r := set.At(i)
 		if !l.Covers(r.Hostname) {

@@ -87,8 +87,6 @@ type Pass struct {
 	Fset *token.FileSet
 	// Files are the package's parsed non-test files, in filename order.
 	Files []*ast.File
-	// Pkg is the type-checked package.
-	Pkg *types.Package
 	// Info holds the type-checker's expression annotations.
 	Info *types.Info
 	// Path is the package's import path.
@@ -292,7 +290,6 @@ func analyze(pkgs []*Package, analyzers []*Analyzer) []Finding {
 				Analyzer: a,
 				Fset:     pkg.Fset,
 				Files:    pkg.Files,
-				Pkg:      pkg.Types,
 				Info:     pkg.Info,
 				Path:     pkg.Path,
 				Module:   pkg.Module,

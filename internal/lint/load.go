@@ -26,8 +26,6 @@ import (
 type Package struct {
 	// Path is the package's import path within the module.
 	Path string
-	// Dir is the package's directory on disk.
-	Dir string
 	// Module is the module path from go.mod.
 	Module string
 	// Fset maps this package's token positions. Packages loaded by the
@@ -37,8 +35,6 @@ type Package struct {
 	Fset *token.FileSet
 	// Files are the parsed non-test files, in filename order.
 	Files []*ast.File
-	// Types is the type-checked package.
-	Types *types.Package
 	// Info carries the type-checker's expression annotations.
 	Info *types.Info
 }
@@ -248,7 +244,7 @@ func loadDir(fset *token.FileSet, imp types.Importer, root, module, dir string) 
 		Importer: imp,
 		Error:    func(err error) { typeErrs = append(typeErrs, err) },
 	}
-	tpkg, err := conf.Check(path, fset, files, info)
+	_, err = conf.Check(path, fset, files, info)
 	if len(typeErrs) > 0 {
 		msgs := make([]string, 0, len(typeErrs))
 		for _, e := range typeErrs {
@@ -262,11 +258,9 @@ func loadDir(fset *token.FileSet, imp types.Importer, root, module, dir string) 
 
 	return &Package{
 		Path:   path,
-		Dir:    dir,
 		Module: module,
 		Fset:   fset,
 		Files:  files,
-		Types:  tpkg,
 		Info:   info,
 	}, nil
 }

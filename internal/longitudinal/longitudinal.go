@@ -7,7 +7,6 @@ package longitudinal
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/resultset"
@@ -71,22 +70,16 @@ func stateOf(r *scanner.Result) State {
 	}
 }
 
-// Transition is one host's state change between snapshots.
-type Transition struct {
-	Hostname string
-	From, To State
-}
-
-// Changes is the diff between two snapshots.
+// Changes is the diff between two snapshots, counted in hosts.
 type Changes struct {
-	// Improved lists hosts that moved toward valid https.
-	Improved []Transition
-	// Regressed lists hosts that moved away from it.
-	Regressed []Transition
-	// Appeared lists hosts present only in the later snapshot.
-	Appeared []string
-	// Disappeared lists hosts present only in the earlier snapshot.
-	Disappeared []string
+	// Improved counts hosts that moved toward valid https.
+	Improved int
+	// Regressed counts hosts that moved away from it.
+	Regressed int
+	// Appeared counts hosts present only in the later snapshot.
+	Appeared int
+	// Disappeared counts hosts present only in the earlier snapshot.
+	Disappeared int
 	// Steady counts hosts with unchanged state.
 	Steady int
 }
@@ -96,46 +89,35 @@ func Diff(before, after Snapshot) Changes {
 	var c Changes
 	for host, b := range before.States {
 		a, ok := after.States[host]
-		if !ok {
-			c.Disappeared = append(c.Disappeared, host)
-			continue
-		}
 		switch {
+		case !ok:
+			c.Disappeared++
 		case a == b:
 			c.Steady++
 		case a > b:
-			c.Improved = append(c.Improved, Transition{host, b, a})
+			c.Improved++
 		default:
-			c.Regressed = append(c.Regressed, Transition{host, b, a})
+			c.Regressed++
 		}
 	}
-	for host := range after.States {
-		if _, ok := before.States[host]; !ok {
-			c.Appeared = append(c.Appeared, host)
-		}
-	}
-	sort.Slice(c.Improved, func(i, j int) bool { return c.Improved[i].Hostname < c.Improved[j].Hostname })
-	sort.Slice(c.Regressed, func(i, j int) bool { return c.Regressed[i].Hostname < c.Regressed[j].Hostname })
-	sort.Strings(c.Appeared)
-	sort.Strings(c.Disappeared)
+	c.Appeared = len(after.States) - (len(before.States) - c.Disappeared)
 	return c
 }
 
 // Summary renders the diff as one paragraph.
 func (c Changes) Summary() string {
 	return fmt.Sprintf("improved %d, regressed %d, appeared %d, disappeared %d, steady %d",
-		len(c.Improved), len(c.Regressed), len(c.Appeared), len(c.Disappeared), c.Steady)
+		c.Improved, c.Regressed, c.Appeared, c.Disappeared, c.Steady)
 }
 
-// GapReport lists hosts currently below the given state — the "important
+// GapReport counts hosts currently below the given state — the "important
 // sites without https" view.
-func GapReport(s Snapshot, below State) []string {
-	var out []string
-	for host, st := range s.States {
+func GapReport(s Snapshot, below State) int {
+	n := 0
+	for _, st := range s.States {
 		if st < below {
-			out = append(out, host)
+			n++
 		}
 	}
-	sort.Strings(out)
-	return out
+	return n
 }

@@ -108,14 +108,9 @@ func BuildReports(set *resultset.Set, deadLinked map[string][]string) []Report {
 
 // Delivery is the outcome of emailing one registrar.
 type Delivery struct {
-	Country string
 	// Delivered marks successful delivery (possibly after the retry to
 	// the administrative contact).
 	Delivered bool
-	// BouncedFirst marks an initial bounce from the technical contact.
-	BouncedFirst bool
-	// RetrySucceeded marks a successful administrative-contact retry.
-	RetrySucceeded bool
 	// Response is the registrar's reaction.
 	Response ResponseKind
 }
@@ -127,8 +122,6 @@ type CampaignResult struct {
 	// SkippedAllValid lists countries skipped because every detected host
 	// already had https (9 in the paper).
 	SkippedAllValid []string
-	// SkippedNoHosts lists countries with no hostnames at disclosure time.
-	SkippedNoHosts []string
 	// SkippedTerritories lists dependent territories excluded from the
 	// campaign (the white bands of Figure 13).
 	SkippedTerritories []string
@@ -182,15 +175,13 @@ func Campaign(reports []Report, r *rand.Rand) *CampaignResult {
 		}
 		res.Reports = append(res.Reports, rep)
 		res.EmailsSent++
-		d := Delivery{Country: rep.Country}
+		var d Delivery
 
 		// ~4% of first sends bounce; retries to the admin contact succeed
 		// about half the time (§7.2: 7 bounced, 3 recovered).
 		if r.Float64() < 0.04 {
-			d.BouncedFirst = true
 			res.Bounced++
 			if r.Float64() < 0.45 {
-				d.RetrySucceeded = true
 				d.Delivered = true
 				res.RetriedOK++
 			}

@@ -68,7 +68,6 @@ func (r Rule) Severity() int { return ruleInfo[r].severity }
 type Finding struct {
 	Hostname string
 	Rule     Rule
-	Detail   string
 }
 
 // CAAChecker reports whether a hostname has any CAA record; satisfied by
@@ -80,8 +79,8 @@ type CAAChecker func(hostname string) bool
 // by SharedKeyIDs).
 func Evaluate(set *resultset.Set, hasCAA CAAChecker, sharedKeys map[cert.KeyID]bool) []Finding {
 	var out []Finding
-	add := func(host string, rule Rule, format string, args ...any) {
-		out = append(out, Finding{Hostname: host, Rule: rule, Detail: fmt.Sprintf(format, args...)})
+	add := func(host string, rule Rule) {
+		out = append(out, Finding{Hostname: host, Rule: rule})
 	}
 	for i := 0; i < set.Len(); i++ {
 		r := set.At(i)
@@ -91,34 +90,34 @@ func Evaluate(set *resultset.Set, hasCAA CAAChecker, sharedKeys map[cert.KeyID]b
 		cat := r.Category()
 		switch {
 		case cat == scanner.CatHTTPOnly:
-			add(r.Hostname, AdoptHTTPS, "content is served over plain http only")
+			add(r.Hostname, AdoptHTTPS)
 			continue
 		case cat.IsInvalidHTTPS():
-			add(r.Hostname, FixCertificate, "https is invalid: %s", cat)
+			add(r.Hostname, FixCertificate)
 		case cat == scanner.CatValid && r.ServesHTTP && r.ServesHTTPS:
-			add(r.Hostname, EnforceUpgrade, "full content served on http without redirect")
+			add(r.Hostname, EnforceUpgrade)
 		}
 		if len(r.Chain) > 0 {
 			leaf := r.Chain[0]
 			if leaf.PublicKey.Type == cert.KeyRSA && leaf.PublicKey.Bits < 2048 {
-				add(r.Hostname, RetireWeakKey, "host key is %s", leaf.PublicKey.Label())
+				add(r.Hostname, RetireWeakKey)
 			}
 			if leaf.SignatureAlgorithm.IsWeak() {
-				add(r.Hostname, RetireWeakSignature, "certificate signed with %s", leaf.SignatureAlgorithm)
+				add(r.Hostname, RetireWeakSignature)
 			}
 			if sharedKeys != nil && sharedKeys[leaf.PublicKey.ID] {
-				add(r.Hostname, StopKeySharing, "private key is shared with other hosts")
+				add(r.Hostname, StopKeySharing)
 			}
 			if leaf.ValidityDays() > 825 {
-				add(r.Hostname, ShortenLifetime, "certificate issued for %d days", leaf.ValidityDays())
+				add(r.Hostname, ShortenLifetime)
 			}
 		}
 		if r.ValidHTTPS() {
 			if hasCAA != nil && !hasCAA(r.Hostname) {
-				add(r.Hostname, PublishCAA, "no CAA record restricts issuance")
+				add(r.Hostname, PublishCAA)
 			}
 			if !r.HSTS {
-				add(r.Hostname, EnableHSTS, "no Strict-Transport-Security header")
+				add(r.Hostname, EnableHSTS)
 			}
 		}
 	}

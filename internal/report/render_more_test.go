@@ -93,7 +93,6 @@ func TestRankComparisonRendering(t *testing.T) {
 		Random:    rankSeries("uniform", 0.55),
 		Matched:   rankSeries("matched", 0.56),
 		TopNonGov: rankSeries("top", 0.7),
-		Bins:      50,
 	}
 	out := RankComparison(rc)
 	for _, want := range []string{"Figure 7", "Figure 6", "government", "Slope/100k"} {
@@ -125,7 +124,6 @@ func TestKeyReuseRendering(t *testing.T) {
 func TestCrossGovRendering(t *testing.T) {
 	out := CrossGov(analysis.CrossGovStats{
 		OutDegree:            map[string]int{"at": 70, "br": 10},
-		InDegree:             map[string]int{"us": 55},
 		ShareLinkingAtLeast7: 0.75,
 		HeavilyLinked:        1,
 		TopLinker:            "at",
@@ -143,7 +141,7 @@ func TestCampaignRendering(t *testing.T) {
 		Reports:    []notify.Report{{Country: "br"}},
 		EmailsSent: 1, Delivered: 1, Supportive: 1,
 		Deliveries: map[string]notify.Delivery{
-			"br": {Country: "br", Delivered: true, Response: notify.Redirected},
+			"br": {Delivered: true, Response: notify.Redirected},
 		},
 		SkippedAllValid:    []string{"no"},
 		SkippedTerritories: []string{"pr"},
@@ -191,14 +189,5 @@ func TestTable2WithTitle(t *testing.T) {
 	}
 	if strings.Contains(out, "Table 2: Worldwide govt.") {
 		t.Error("canonical heading not replaced")
-	}
-}
-
-func TestTableRowf(t *testing.T) {
-	tab := newTable("A", "B")
-	tab.rowf("x\t%d", 42)
-	out := tab.String()
-	if !strings.Contains(out, "42") {
-		t.Errorf("rowf output:\n%s", out)
 	}
 }

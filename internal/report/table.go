@@ -24,10 +24,6 @@ func (t *table) row(cells ...string) {
 	t.rows = append(t.rows, cells)
 }
 
-func (t *table) rowf(format string, args ...any) {
-	t.row(strings.Split(fmt.Sprintf(format, args...), "\t")...)
-}
-
 // String renders with column alignment: first column left, rest right.
 func (t *table) String() string {
 	widths := make([]int, len(t.header))
@@ -70,7 +66,6 @@ func (t *table) String() string {
 
 func n(v int) string          { return fmt.Sprintf("%d", v) }
 func f1(v float64) string     { return fmt.Sprintf("%.1f", v) }
-func f2(v float64) string     { return fmt.Sprintf("%.2f", v) }
 func pctStr(v float64) string { return fmt.Sprintf("%.2f%%", v) }
 
 func section(title string) string {

@@ -2,7 +2,9 @@ package scanner_test
 
 import (
 	"context"
+	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -10,6 +12,7 @@ import (
 	"repro/internal/report"
 	"repro/internal/resultset"
 	"repro/internal/scanner"
+	"repro/internal/verify"
 	"repro/internal/world"
 )
 
@@ -160,5 +163,45 @@ func TestFlakyWorldDeterministic(t *testing.T) {
 	}
 	if sum(r1) <= sum(clean) {
 		t.Errorf("flaky run attempts = %d, clean = %d; expected extra retries", sum(r1), sum(clean))
+	}
+}
+
+// parentJournal holds two lines a scanner whose verify.Result still carried
+// Errors, Depth, EV and Detail wrote for the seed-42, scale-0.02 world: a
+// valid EV chain and a self-signed leaf that also expired and mismatched.
+const parentJournal = `{"hostname":"industry1.de","ip":"190.0.2.177","available":true,"attempts_https":true,"serves_https":true,"tls_version":772,"chain":"ArcBU0MwMYmAgICgBgxpbmR1c3RyeTEuZGUQR292ZXJubWVudCBvZiBkZQJkZRZBbWF6b24gRVYgU2VydmVyIENBIDFCBkFtYXpvbgJVUwEMaW5kdXN0cnkxLmRlgJbz6AuAsoalDAGAIP4dTSc7EBKb7CkgrIYnDgsDAAEMMi4yMy4xNDAuMS4xErMA95hLHsdGWwhJN2ByFaqIvRlLzMX7z8uCDf3QO7BhsmTqQDpZQ2FzwyWRJe/pmAFTQzAxsPCQkpHb2IRzFkFtYXpvbiBFViBTZXJ2ZXIgQ0EgMUIGQW1hem9uAlVTDkFtYXpvbiBSb290IENBBkFtYXpvbgJVUwCAiP3vCYD+8ckOAYAQErMA95hLHsdGWwhJN2ByFQMBANKW9ZFoeY7QYm8yVNOwNszmcK8q656L+aobxSzCeIiaLUKSsmvOz1gjLfQbbwSujA==","verify":{"Code":0,"Errors":null,"Depth":2,"EV":true,"Detail":""},"provider":"Private","attempts":1}
+{"hostname":"sme2.gouv.cm","ip":"190.0.1.125","available":true,"redirects_to_https":true,"attempts_https":true,"serves_https":true,"tls_version":772,"chain":"AXhTQzAxAAlsb2NhbGhvc3QAAAlsb2NhbGhvc3QAAAEJbG9jYWxob3N0gKC2swuA9LLECwGAEBnL8k3gQ5Z+vm/4ThVurIIDAAAZy/JN4EOWfr5v+E4VbqyCk6g05QDEM/+MQiF3R1/P1cx4NqyWpjsoH6cikG7RwBM=","verify":{"Code":2,"Errors":[2,6,8],"Depth":0,"EV":false,"Detail":"leaf certificate is self-signed and untrusted"},"provider":"Private","attempts":1}
+`
+
+// TestParentJournalResumes: lines written before verify.Result shrank to
+// its Code still resume, and to exactly the Result a scan produces now —
+// encoding/json drops the keys the struct no longer has.
+func TestParentJournalResumes(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "parent.jsonl")
+	if err := os.WriteFile(path, []byte(parentJournal), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err := scanner.OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if j.Len() != 2 {
+		t.Fatalf("journal holds %d hosts, want 2", j.Len())
+	}
+	w := world.MustBuild(world.Config{Seed: 42, Scale: 0.02})
+	hosts := []string{"industry1.de", "sme2.gouv.cm"}
+	fresh := extScanner(w).ScanAll(context.Background(), hosts)
+	for i, h := range hosts {
+		got, ok := j.Lookup(h)
+		if !ok {
+			t.Fatalf("%s missing from the resumed journal", h)
+		}
+		if !reflect.DeepEqual(got, fresh[i]) {
+			t.Errorf("%s resumed as\n %+v\nwant the fresh scan\n %+v", h, got, fresh[i])
+		}
+	}
+	if got, _ := j.Lookup("sme2.gouv.cm"); got.Verify != (verify.Result{Code: verify.SelfSignedLeaf}) {
+		t.Errorf("self-signed leaf resumed with verify %+v", got.Verify)
 	}
 }

@@ -137,7 +137,6 @@ type Conn struct {
 	remote   net.Addr
 
 	closeOnce sync.Once
-	peer      *Conn
 }
 
 // pipe is everything one connection needs, in a single allocation: both
@@ -153,8 +152,8 @@ type pipe struct {
 func (p *pipe) init(clientAddr, serverAddr net.Addr) (client, server *Conn) {
 	p.c2s.cond.L = &p.c2s.mu
 	p.s2c.cond.L = &p.s2c.mu
-	p.client = Conn{readBuf: &p.s2c, writeBuf: &p.c2s, local: clientAddr, remote: serverAddr, peer: &p.server}
-	p.server = Conn{readBuf: &p.c2s, writeBuf: &p.s2c, local: serverAddr, remote: clientAddr, peer: &p.client}
+	p.client = Conn{readBuf: &p.s2c, writeBuf: &p.c2s, local: clientAddr, remote: serverAddr}
+	p.server = Conn{readBuf: &p.c2s, writeBuf: &p.s2c, local: serverAddr, remote: clientAddr}
 	return &p.client, &p.server
 }
 

@@ -18,9 +18,6 @@ type Linear struct {
 	Intercept float64
 	// R2 is the coefficient of determination.
 	R2 float64
-	// StdErrSlope is the standard error of the slope estimate.
-	StdErrSlope float64
-	N           int
 }
 
 // FitLinear fits ordinary least squares to the points.
@@ -59,20 +56,13 @@ func FitLinear(x, y []float64) (Linear, error) {
 	if syy > 0 {
 		r2 = 1 - sse/syy
 	}
-	s2 := sse / float64(n-2)
-	return Linear{
-		Slope:       slope,
-		Intercept:   intercept,
-		R2:          r2,
-		StdErrSlope: math.Sqrt(s2 / sxx),
-		N:           n,
-	}, nil
+	return Linear{Slope: slope, Intercept: intercept, R2: r2}, nil
 }
 
 // Bin is one rank bucket with an aggregated rate.
 type Bin struct {
-	// Lo and Hi bound the bucket (inclusive lo, exclusive hi).
-	Lo, Hi float64
+	// Lo is the bucket's inclusive lower bound; it spans one bucket width.
+	Lo float64
 	// Center is the bucket midpoint.
 	Center float64
 	// Count is the number of observations.
@@ -94,7 +84,6 @@ func BinRate(xs []float64, oks []bool, n int, lo, hi float64) []Bin {
 	hits := make([]int, n)
 	for i := range bins {
 		bins[i].Lo = lo + float64(i)*width
-		bins[i].Hi = bins[i].Lo + width
 		bins[i].Center = bins[i].Lo + width/2
 	}
 	for i, x := range xs {

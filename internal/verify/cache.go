@@ -26,7 +26,7 @@ const cacheShards = 16
 
 type cacheShard struct {
 	mu sync.RWMutex
-	m  map[cacheKey]*cacheEntry
+	m  map[cacheKey]Code
 }
 
 // cacheKey identifies one structural verification: the digest of the
@@ -39,18 +39,11 @@ type cacheKey struct {
 	now   int64
 }
 
-// cacheEntry holds the structural failures (read-only, capacity clamped so
-// appends never mutate the shared array) and the leaf's EV status.
-type cacheEntry struct {
-	found []failure
-	ev    bool
-}
-
 // NewCache returns an empty structural-verification cache.
 func NewCache() *Cache {
 	c := &Cache{}
 	for i := range c.shards {
-		c.shards[i].m = make(map[cacheKey]*cacheEntry)
+		c.shards[i].m = make(map[cacheKey]Code)
 	}
 	return c
 }
@@ -71,7 +64,7 @@ func (c *Cache) shard(k cacheKey) *cacheShard {
 	return &c.shards[k.chain[0]%cacheShards]
 }
 
-func (c *Cache) lookup(k cacheKey) (*cacheEntry, bool) {
+func (c *Cache) lookup(k cacheKey) (Code, bool) {
 	s := c.shard(k)
 	s.mu.RLock()
 	e, ok := s.m[k]
@@ -84,11 +77,11 @@ func (c *Cache) lookup(k cacheKey) (*cacheEntry, bool) {
 	return e, ok
 }
 
-func (c *Cache) store(k cacheKey, e *cacheEntry) {
+func (c *Cache) store(k cacheKey, code Code) {
 	s := c.shard(k)
 	s.mu.Lock()
 	if _, ok := s.m[k]; !ok {
-		s.m[k] = e
+		s.m[k] = code
 	}
 	s.mu.Unlock()
 }

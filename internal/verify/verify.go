@@ -74,16 +74,6 @@ func (c Code) String() string {
 type Result struct {
 	// Code is the primary outcome (highest-precedence failure, or OK).
 	Code Code
-	// Errors lists every failure observed, including the primary one.
-	Errors []Code
-	// Depth is the 0-based chain depth at which the primary failure
-	// occurred (0 = leaf), or the validated chain length when OK.
-	Depth int
-	// EV reports whether the validated chain carries a trusted EV policy.
-	// Only meaningful when Code == OK.
-	EV bool
-	// Detail is a human-readable elaboration of the primary failure.
-	Detail string
 }
 
 // Valid reports whether the chain validated completely.
@@ -105,121 +95,87 @@ type Verifier struct {
 // Verify validates the presented chain (leaf first) for the given hostname.
 // Verification runs in two passes: a chain-structural pass that depends
 // only on (chain, store, scan time) and is memoizable via Cache, and a
-// cheap per-host hostname-match pass layered on top.
+// cheap per-host hostname-match pass layered on top. HostnameMismatch has
+// the lowest precedence, so the hostname pass runs only on a chain the
+// structural pass accepted.
 func (v *Verifier) Verify(chain []*cert.Certificate, hostname string) Result {
 	if len(chain) == 0 {
-		return Result{Code: EmptyChain, Errors: []Code{EmptyChain}, Detail: "server presented no certificates"}
+		return Result{Code: EmptyChain}
 	}
-	leaf := chain[0]
-
-	found, ev := v.structural(chain)
-	if err := leaf.VerifyHostname(hostname); err != nil {
-		found = append(found, failure{HostnameMismatch, 0, err.Error()})
+	code := v.structural(chain)
+	if code == OK && chain[0].VerifyHostname(hostname) != nil {
+		code = HostnameMismatch
 	}
-
-	if len(found) == 0 {
-		return Result{
-			Code:  OK,
-			Depth: len(chain),
-			EV:    ev,
-		}
-	}
-	primary := found[0]
-	for _, f := range found[1:] {
-		if f.code < primary.code {
-			primary = f
-		}
-	}
-	res := Result{Code: primary.code, Depth: primary.depth, Detail: primary.detail}
-	seen := map[Code]bool{}
-	for _, f := range found {
-		if !seen[f.code] {
-			seen[f.code] = true
-			res.Errors = append(res.Errors, f.code)
-		}
-	}
-	return res
+	return Result{Code: code}
 }
 
-// structural runs (or recalls) the chain-structural verification pass. The
-// returned slice has its capacity clamped to its length, so the hostname
-// pass can append without ever mutating a cached entry shared with other
-// goroutines.
-func (v *Verifier) structural(chain []*cert.Certificate) ([]failure, bool) {
+// structural runs (or recalls) the chain-structural verification pass and
+// returns its highest-precedence failure, or OK.
+func (v *Verifier) structural(chain []*cert.Certificate) Code {
 	var k cacheKey
 	if v.Cache != nil {
 		k = cacheKey{chain: chainDigest(chain), store: v.Store, now: v.Now.UnixNano()}
-		if e, ok := v.Cache.lookup(k); ok {
-			return e.found, e.ev
+		if code, ok := v.Cache.lookup(k); ok {
+			return code
 		}
 	}
-
-	var found []failure
-	depth := v.buildChain(chain, &found)
-	for i, c := range chain[:min(depth+1, len(chain))] {
-		if c.IsExpiredAt(v.Now) {
-			found = append(found, failure{CertificateExpired, i,
-				fmt.Sprintf("certificate at depth %d expired %s", i, c.NotAfter.Format("2006-01-02"))})
-		} else if c.IsNotYetValidAt(v.Now) {
-			found = append(found, failure{CertificateNotYetValid, i,
-				fmt.Sprintf("certificate at depth %d not valid before %s", i, c.NotBefore.Format("2006-01-02"))})
-		}
-	}
-	found = found[:len(found):len(found)]
-	ev := v.isEV(chain[0])
+	code := v.checkChain(chain)
 	if v.Cache != nil {
-		v.Cache.store(k, &cacheEntry{found: found, ev: ev})
+		v.Cache.store(k, code)
 	}
-	return found, ev
+	return code
 }
 
-type failure struct {
-	code   Code
-	depth  int
-	detail string
+// checkChain builds the chain and then checks the validity windows of the
+// certificates that participate in it. Every chain-construction failure
+// outranks an expiry, and an expiry outranks a not-yet-valid certificate.
+func (v *Verifier) checkChain(chain []*cert.Certificate) Code {
+	depth, code := v.buildChain(chain)
+	if code != OK {
+		return code
+	}
+	for _, c := range chain[:min(depth+1, len(chain))] {
+		if c.IsExpiredAt(v.Now) {
+			return CertificateExpired
+		}
+		if c.IsNotYetValidAt(v.Now) {
+			code = CertificateNotYetValid
+		}
+	}
+	return code
 }
 
 // buildChain walks the presented chain from the leaf, resolving each
 // certificate's issuer among the remaining presented certificates or the
-// trust store, and records chain-construction failures. It returns the
-// number of presented-chain hops it could anchor, used to bound the expiry
-// checks to certificates that actually participate in the chain.
-func (v *Verifier) buildChain(chain []*cert.Certificate, found *[]failure) int {
+// trust store. It returns the presented-chain index it could anchor, used
+// to bound the expiry checks to certificates that actually participate in
+// the chain, and the chain-construction failure, or OK.
+func (v *Verifier) buildChain(chain []*cert.Certificate) (int, Code) {
 	current := chain[0]
-	idx := 0   // index of current within the presented chain
-	depth := 0 // number of hops walked from the leaf
+	idx := 0 // index of current within the presented chain
 	used := make([]bool, len(chain))
 	used[0] = true
 	for {
 		if current.SelfSigned() {
 			if v.Store.Contains(current) {
-				return idx // anchored at a trusted root the server also presented
+				return idx, OK // anchored at a trusted root the server also presented
 			}
-			code := SelfSignedLeaf
-			detail := "leaf certificate is self-signed and untrusted"
-			if depth > 0 {
-				code = SelfSignedInChain
-				detail = fmt.Sprintf("self-signed certificate at chain depth %d", depth)
+			if idx > 0 {
+				return idx, SelfSignedInChain
 			}
-			*found = append(*found, failure{code, depth, detail})
-			return idx
+			return idx, SelfSignedLeaf
 		}
 		if _, ok := v.Store.FindIssuer(current); ok {
-			return idx // issuer is a trusted root
+			return idx, OK // issuer is a trusted root
 		}
 		nextIdx, sigBroken := findIssuerIn(current, chain, used)
 		if sigBroken {
-			*found = append(*found, failure{SignatureFailure, depth,
-				fmt.Sprintf("issuer key for %q found but signature does not verify", current.Subject.CommonName)})
-			return idx
+			return idx, SignatureFailure
 		}
 		if nextIdx < 0 {
-			*found = append(*found, failure{UnableToGetLocalIssuer, depth,
-				fmt.Sprintf("no issuer for %q in presented chain or trust store", current.Subject.CommonName)})
-			return idx
+			return idx, UnableToGetLocalIssuer
 		}
 		used[nextIdx] = true
-		depth++
 		idx = nextIdx
 		current = chain[nextIdx]
 	}
@@ -244,13 +200,4 @@ func findIssuerIn(c *cert.Certificate, chain []*cert.Certificate, used []bool) (
 		sawKeyMatch = true
 	}
 	return -1, sawKeyMatch
-}
-
-func (v *Verifier) isEV(leaf *cert.Certificate) bool {
-	for _, oid := range leaf.PolicyOIDs {
-		if v.Store.IsTrustedEVPolicy(oid) {
-			return true
-		}
-	}
-	return false
 }

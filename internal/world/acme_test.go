@@ -136,7 +136,7 @@ func TestRotateCert(t *testing.T) {
 	}
 	v := &verify.Verifier{Store: w.Stores["apple"], Now: w.ScanTime.AddDate(0, 1, 0)}
 	if res := v.Verify(tc.ConnectionState().Chain, s.Hostname); !res.Valid() {
-		t.Fatalf("rotated chain invalid: %v (%s)", res.Code, res.Detail)
+		t.Fatalf("rotated chain invalid: %v", res.Code)
 	}
 	if s.Issuer != chain[0].Issuer.CommonName {
 		t.Errorf("Issuer = %q, want %q", s.Issuer, chain[0].Issuer.CommonName)

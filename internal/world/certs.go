@@ -22,7 +22,7 @@ type certFactory struct {
 
 	// sharedWildcards caches each country's shared wildcard certificates —
 	// the Bangladesh/Colombia pattern of §5.3.3.
-	sharedWildcards map[string][]*sharedCert
+	sharedWildcards map[string][][]*cert.Certificate
 	// internalCAs caches per-country untrusted "government internal" CAs.
 	internalCAs map[string]*internalCA
 	// epochCertPlaced tracks the single 1970-epoch certificate (§5.3.1).
@@ -36,14 +36,7 @@ type certFactory struct {
 	weights []float64
 }
 
-type sharedCert struct {
-	chain []*cert.Certificate
-	// zone is the wildcard zone the certificate actually covers.
-	zone string
-}
-
 type internalCA struct {
-	root     *cert.Certificate
 	rootKey  cert.KeyID
 	issuerCN string
 }
@@ -52,7 +45,7 @@ func newCertFactory(w *World, r *rand.Rand) *certFactory {
 	return &certFactory{
 		w:               w,
 		r:               r,
-		sharedWildcards: make(map[string][]*sharedCert),
+		sharedWildcards: make(map[string][][]*cert.Certificate),
 		internalCAs:     make(map[string]*internalCA),
 	}
 }
@@ -273,9 +266,8 @@ func (f *certFactory) issueMismatch(s *Site, mix []caWeight) {
 	if f.r.Float64() < 0.6 {
 		// Reuse the country's shared wildcard certificate on a host the
 		// wildcard does not cover — the Bangladesh/Colombia pattern.
-		sc := f.sharedWildcard(country, mix)
-		s.Chain = sc.chain
-		s.Issuer = sc.chain[0].Issuer.CommonName
+		s.Chain = f.sharedWildcard(country, mix)
+		s.Issuer = s.Chain[0].Issuer.CommonName
 		return
 	}
 	// Otherwise a certificate for an unrelated hostname of the same
@@ -294,9 +286,9 @@ func (f *certFactory) issueMismatch(s *Site, mix []caWeight) {
 	s.Issuer = a.Name
 }
 
-// sharedWildcard returns (creating on first use) one of the country's
-// shared wildcard certificates.
-func (f *certFactory) sharedWildcard(country string, mix []caWeight) *sharedCert {
+// sharedWildcard returns (creating on first use) the chain of one of the
+// country's shared wildcard certificates.
+func (f *certFactory) sharedWildcard(country string, mix []caWeight) []*cert.Certificate {
 	certs := f.sharedWildcards[country]
 	want := sharedWildcardCounts[country]
 	if want == 0 {
@@ -319,9 +311,8 @@ func (f *certFactory) sharedWildcard(country string, mix []caWeight) *sharedCert
 			Lifetime:  lifetime,
 			Serial:    f.nextSerial(),
 		})
-		sc := &sharedCert{chain: chain, zone: zone}
-		f.sharedWildcards[country] = append(certs, sc)
-		return sc
+		f.sharedWildcards[country] = append(certs, chain)
+		return chain
 	}
 	return certs[f.r.Intn(len(certs))]
 }
@@ -379,7 +370,7 @@ func (f *certFactory) internalCA(country string, mix []caWeight) *internalCA {
 			name = "CA131100001"
 		}
 		a := f.w.CAs.MustLookup(name)
-		return &internalCA{root: a.Root, rootKey: a.Intermediate.PublicKey.ID, issuerCN: a.Name}
+		return &internalCA{rootKey: a.Intermediate.PublicKey.ID, issuerCN: a.Name}
 	}
 	ic, ok := f.internalCAs[country]
 	if !ok {
@@ -396,7 +387,7 @@ func (f *certFactory) internalCA(country string, mix []caWeight) *internalCA {
 			IsCA:               true,
 		}
 		root.Sign(key.ID)
-		ic = &internalCA{root: root, rootKey: key.ID, issuerCN: cn}
+		ic = &internalCA{rootKey: key.ID, issuerCN: cn}
 		f.internalCAs[country] = ic
 	}
 	return ic

@@ -53,7 +53,6 @@ const (
 	paperWorldwideHosts   = 135408 // unique government hostnames considered
 	paperUnreachableHosts = 47458  // registered names that never returned 200
 	paperSeedHosts        = 27532  // merged top-million-derived seed list
-	paperWhitelistHosts   = 596    // hand-curated hostnames (62 countries)
 	paperTrancoGovOverlap = 12293  // gov hostnames inside the Tranco million
 	paperROKHosts         = 21818  // Government24 hostname database
 	paperTopMillion       = 1000000

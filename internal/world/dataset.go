@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"sort"
 	"strconv"
-
-	"repro/internal/hosting"
 )
 
 // datasetSpec describes an authoritative host list (a GSA dataset or the
@@ -135,6 +133,3 @@ func boolToInt(b bool) int {
 	}
 	return 0
 }
-
-// hostingOf is a small helper for the analysis tests.
-func hostingOf(s *Site) hosting.Kind { return s.HostKind }

@@ -63,7 +63,8 @@ func newNameGen(c geo.Country, r *rand.Rand) *nameGen {
 func (g *nameGen) suffix() string {
 	suffixes := g.suffixes
 	if len(suffixes) == 0 {
-		// Whitelist-only countries host under bare ccTLD domains.
+		// Countries without a government extension host under bare
+		// ccTLD domains.
 		return g.country.Code
 	}
 	if len(suffixes) == 1 || g.r.Float64() < 0.7 {

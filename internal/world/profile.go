@@ -175,8 +175,6 @@ var invalidMixUSA = weighted{
 
 // Profile is the per-country generation profile.
 type Profile struct {
-	// Hosts is the paper-scale number of reachable worldwide-list sites.
-	Hosts int
 	// HTTPSShare is the fraction of reachable sites attempting https.
 	HTTPSShare float64
 	// ValidShare is the fraction of https sites that validate.

@@ -40,13 +40,8 @@ func DefaultRemediationRates() RemediationRates {
 type RemediationOutcome struct {
 	Fixed   []string
 	Removed []string
-	// Unchanged hosts continue serving invalid certificates.
-	Unchanged []string
-	// NewlyValidFromHTTP counts http-only hosts that gained valid https.
-	NewlyValidFromHTTP int
-	// NewlyInvalidFromHTTP counts http-only hosts that gained broken https.
-	NewlyInvalidFromHTTP int
-	// NewlyServingHosts lists the http-only hosts behind those two counts.
+	// NewlyServingHosts lists the http-only hosts that gained valid or
+	// broken https.
 	NewlyServingHosts []string
 	// RevivedValid / RevivedInvalid count previously unreachable hosts now
 	// serving valid / invalid https.
@@ -56,7 +51,7 @@ type RemediationOutcome struct {
 
 // ChangedHosts returns every hostname whose scan result may differ after
 // the remediation — the partial-invalidation set for cached datasets.
-// Unchanged hosts kept their broken certificates, and revived hosts are
+// Hosts left broken kept their certificates, and revived hosts are
 // excluded because the unreachable population is never part of a scanned
 // corpus (GovHosts and UnreachableHosts are disjoint).
 func (o *RemediationOutcome) ChangedHosts() []string {
@@ -90,8 +85,6 @@ func (w *World) Remediate(invalidHosts []string, rates RemediationRates, r *rand
 		case x < fixP+rates.Remove:
 			w.removeSite(s)
 			out.Removed = append(out.Removed, h)
-		default:
-			out.Unchanged = append(out.Unchanged, h)
 		}
 	}
 
@@ -108,14 +101,12 @@ func (w *World) Remediate(invalidHosts []string, rates RemediationRates, r *rand
 			s.Serving = BothRedirect
 			f.configure(s, ClassValid, caMixWorldwide)
 			w.serveSite(s)
-			out.NewlyValidFromHTTP++
 			out.NewlyServingHosts = append(out.NewlyServingHosts, h)
 			w.recordChange(FollowUpScanTime, h, GainedHTTPS)
 		case x < 0.0115+0.0185:
 			s.Serving = BothNoRedirect
 			f.configure(s, ClassHostnameMismatch, caMixWorldwide)
 			w.serveSite(s)
-			out.NewlyInvalidFromHTTP++
 			out.NewlyServingHosts = append(out.NewlyServingHosts, h)
 			w.recordChange(FollowUpScanTime, h, GainedHTTPS)
 		}

@@ -122,7 +122,6 @@ func (w *World) buildWorldwide(r *rand.Rand) {
 	// Named sites from the paper, for flavour and for tests.
 	f := newCertFactory(w, rand.New(newSplitMix(r.Int63())))
 	w.addNamedSites(f, r)
-	w.buildWhitelist(r)
 }
 
 // generateCountry builds one country's site records. It touches only the
@@ -500,29 +499,6 @@ func (w *World) addSpoofSites(r *rand.Rand) {
 		w.addSite(s)
 		w.DNS.AddA(host, s.IP)
 	}
-}
-
-// buildWhitelist hand-curates hostnames for countries without standard
-// government extensions (§4.2.3): every site of a no-convention country
-// plus the named extras.
-func (w *World) buildWhitelist(r *rand.Rand) {
-	for _, cc := range sortedKeys(w.ByCountry) {
-		c, ok := geo.ByCode(cc)
-		if !ok {
-			continue
-		}
-		// Countries without a standard government extension (Germany,
-		// Greenland, Gabon, Denmark, the Netherlands, ...) are reachable
-		// only through the hand-curated whitelist. The US extra TLDs are
-		// convention-driven, so they are excluded here.
-		if c.Convention != geo.ConvNone || cc == "us" {
-			continue
-		}
-		for _, h := range w.ByCountry[cc] {
-			w.Whitelist[h] = cc
-		}
-	}
-	_ = r
 }
 
 // crc32ish is a tiny deterministic string hash for stable per-host choices.

@@ -1,7 +1,6 @@
 package world
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
 	"sync"
@@ -36,8 +35,6 @@ type TopLists struct {
 // NonGovAttrs are the deterministic attributes of a non-government
 // top-million site.
 type NonGovAttrs struct {
-	Hostname string
-	Rank     int
 	HTTPS    bool
 	Valid    bool
 	HostKind hosting.Kind
@@ -139,9 +136,6 @@ func (w *World) buildTopLists(r *rand.Rand) {
 
 	for _, rh := range t.TrancoGov {
 		t.trancoRankSet[rh.Rank] = true
-		if s, ok := w.Sites[rh.Host]; ok {
-			s.Rank = rh.Rank
-		}
 	}
 }
 
@@ -180,10 +174,10 @@ func (t *TopLists) NonGov(rank int) NonGovAttrs {
 	}
 	defer nonGovRNG.Put(r)
 	frac := float64(rank) / float64(t.Max)
-	a := NonGovAttrs{
-		Hostname: fmt.Sprintf("site-%d.example-%04x.com", rank, r.Intn(1<<16)),
-		Rank:     rank,
-	}
+	// Each rank's stream opens with one unused draw: the attribute draws
+	// below, and so every rank's attributes, depend on their position in it.
+	r.Intn(1 << 16)
+	var a NonGovAttrs
 	switch x := r.Float64(); {
 	case x < 0.30-0.08*frac:
 		a.HostKind = hosting.Cloud

@@ -82,8 +82,6 @@ type Site struct {
 	HSTS bool
 	// Links are outbound hyperlinks (hostnames) on the landing page.
 	Links []string
-	// Rank is the Tranco rank (0 = outside the top million).
-	Rank int
 	// Depth is the crawl level at which the site becomes discoverable
 	// (0 = in the seed list).
 	Depth int
@@ -128,8 +126,6 @@ type World struct {
 	UnreachableHosts []string
 	// SeedHosts is the merged top-million-derived seed list (§4.1).
 	SeedHosts []string
-	// Whitelist maps hand-curated hostnames to country codes (§4.2.3).
-	Whitelist map[string]string
 	// TopLists carries the synthetic ranking datasets.
 	TopLists *TopLists
 	// USA holds the GSA case-study datasets (§6.1, Appendix A.1).
@@ -140,8 +136,7 @@ type World struct {
 	// certificates (§2.2).
 	CT *ctlog.Log
 
-	ipAlloc  map[string]uint32 // per-block allocation counters
-	serialIP uint32
+	ipAlloc map[string]uint32 // per-block allocation counters
 	// challenges holds the http-01 tokens the ACME renewal fleet has
 	// published; the request path skips it entirely while empty.
 	challenges challengeState
@@ -191,7 +186,6 @@ func Build(cfg Config) (*World, error) {
 		ScanTime:  DefaultScanTime,
 		Sites:     make(map[string]*Site, hostHint),
 		ByCountry: make(map[string][]string),
-		Whitelist: make(map[string]string),
 		ipAlloc:   make(map[string]uint32),
 	}
 	w.GovHosts = make([]string, 0, hostHint)
