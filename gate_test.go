@@ -11,6 +11,10 @@ package repro_test
 import (
 	"context"
 	"io"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"runtime"
 	"slices"
 	"testing"
@@ -20,6 +24,7 @@ import (
 	"repro/internal/observatory"
 	"repro/internal/resultset"
 	"repro/internal/scanner"
+	"repro/internal/serve"
 	"repro/internal/serve/loadgen"
 	"repro/internal/world"
 )
@@ -61,6 +66,18 @@ const (
 	// process-lifetime verify and chain caches retained 1.87 KB per
 	// rescan, cache-free rescans 0.72 KB.
 	observatoryRetentionBudget = 1.2
+	// serveChurnRetentionBudget bounds the live-heap growth per writer
+	// tick, in KB, of TestGateServeChurnRetention's sequential churn at
+	// serveChurnScale, between the two designs measured when the gate was
+	// set: a response cache that keeps superseded generations until the
+	// LRU ages them out retained 277.8 KB per tick, one that holds only
+	// each dataset's newest generation 51.1 KB (the world's churn and the
+	// patched generations).
+	serveChurnRetentionBudget = 150.0
+	serveChurnScale           = 0.05
+	serveChurnTicks           = 40
+	serveChurnHosts           = 50 // hosts churned per tick
+	serveChurnReads           = 300
 )
 
 func skipUnderRace(t *testing.T) {
@@ -242,6 +259,103 @@ func TestGateObservatoryRetention(t *testing.T) {
 		float64(before)/1e6, float64(after)/1e6, rescans, perHost, observatoryRetentionBudget)
 	if perHost > observatoryRetentionBudget {
 		t.Errorf("observatory retains %.2f KB per rescanned host (budget %.1f)", perHost, observatoryRetentionBudget)
+	}
+}
+
+// TestGateServeChurnRetention runs serve_churn's loop sequentially: each
+// tick churns the world, patches the worldwide dataset and then serves a
+// seeded list of host, country and aggregate reads. The cache budget is
+// large enough that the LRU never evicts, so the cache must count exactly
+// what an oracle counts: a hit when the same (path, generation) answered
+// 200 before, a fill otherwise. It may end holding no more entries than
+// the paths read at the final generation, and the live heap may grow per
+// tick by no more than the world's own churn plus a margin.
+func TestGateServeChurnRetention(t *testing.T) {
+	skipUnderRace(t)
+	ctx := context.Background()
+	s := core.MustNewStudy(world.Config{Seed: 3, Scale: serveChurnScale})
+	reg := s.Registry()
+	set, err := reg.Get(ctx, "worldwide")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := serve.New(reg, serve.Config{Cache: serve.CacheConfig{MaxBytes: 1 << 30}})
+	var hosts, drills []string
+	for i := 0; i < set.Len(); i++ {
+		hosts = append(hosts, "/v1/host?name="+url.QueryEscape(set.At(i).Hostname))
+	}
+	for _, cc := range set.Countries() {
+		drills = append(drills, "/v1/country?cc="+url.QueryEscape(cc))
+	}
+	aggs := []string{"/v1/table2", "/v1/countries", "/v1/issuers"}
+	rng := rand.New(rand.NewSource(3))
+	reads := make([]*http.Request, serveChurnTicks*serveChurnReads)
+	for i := range reads {
+		menu := hosts
+		switch u := rng.Intn(10); {
+		case u >= 8:
+			menu = aggs
+		case u >= 5:
+			menu = drills
+		}
+		reads[i] = httptest.NewRequest(http.MethodGet, menu[rng.Intn(len(menu))], nil)
+	}
+	generation := func() int {
+		for _, g := range reg.Generations() {
+			if g.Name == "worldwide" {
+				return g.Current
+			}
+		}
+		t.Fatal("worldwide not registered")
+		return 0
+	}
+
+	before := liveHeap()
+	var hits, misses int64
+	var answered map[string]bool // paths that answered 200 at generation gen
+	gen := -1
+	for tick := 0; tick < serveChurnTicks; tick++ {
+		reg.MarkDirty("worldwide", s.World.ChurnTick(rng, s.World.ScanTime, serveChurnHosts))
+		if _, err := reg.Get(ctx, "worldwide"); err != nil {
+			t.Fatal(err)
+		}
+		if g := generation(); g != gen {
+			gen, answered = g, map[string]bool{}
+		}
+		for _, req := range reads[tick*serveChurnReads : (tick+1)*serveChurnReads] {
+			rec := httptest.NewRecorder()
+			srv.Handler().ServeHTTP(rec, req)
+			path := req.URL.RequestURI()
+			if answered[path] {
+				hits++
+			} else {
+				misses++
+			}
+			if rec.Code == http.StatusOK {
+				answered[path] = true
+			}
+		}
+	}
+	after := liveHeap()
+	runtime.KeepAlive(srv)
+	runtime.KeepAlive(reads)
+
+	st := srv.CacheStats()
+	perTick := (float64(after) - float64(before)) / 1e3 / serveChurnTicks
+	t.Logf("serve churn: %d ticks, generation %d, %+v; live heap %.1f -> %.1f MB = %.1f KB per tick (budget %.0f)",
+		serveChurnTicks, gen, st, float64(before)/1e6, float64(after)/1e6, perTick, serveChurnRetentionBudget)
+	if st.Evictions != 0 {
+		t.Fatalf("the LRU evicted %d entries; the oracle assumes none", st.Evictions)
+	}
+	if st.Hits != hits || st.Misses != misses || st.Fills != misses {
+		t.Errorf("cache counted %d hits, %d misses, %d fills; the oracle counts %d hits and %d misses",
+			st.Hits, st.Misses, st.Fills, hits, misses)
+	}
+	if st.Entries > len(answered) {
+		t.Errorf("cache holds %d entries, more than the %d paths read at the final generation", st.Entries, len(answered))
+	}
+	if perTick > serveChurnRetentionBudget {
+		t.Errorf("serve churn retains %.1f KB of live heap per tick (budget %.0f)", perTick, serveChurnRetentionBudget)
 	}
 }
 

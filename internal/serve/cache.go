@@ -8,14 +8,21 @@ import (
 // cache.go — the sharded read-through response cache. Entries are fully
 // serialized response bodies keyed by normalized query (the key embeds
 // the dataset generation, so a patched or invalidated dataset is never
-// served stale bytes: its new generation simply misses, and the old
-// generation's entries age out of the LRU with no global flush). The
-// shard count is a power of two so key→shard routing is one fnv hash
-// and a mask; each shard is independently locked, so concurrent hits on
-// different shards never contend. A cache miss runs exactly one fill
-// per key no matter how many requests stampede it: the first caller
-// claims the fill, the rest park on its completion channel and share
-// the bytes (single-flight).
+// served stale bytes: its new generation simply misses). A body embeds
+// its generation, so once a newer generation of its dataset is pinned no
+// request can hit it again: the cache holds only the newest generation
+// of each dataset that some request has pinned. The first request to pin
+// a newer generation purges that dataset's older entries from every
+// shard, a request pinned on a superseded generation is served uncached,
+// and a fill that finishes after its generation was superseded answers
+// its callers without being inserted. The LRU and its byte budget still
+// bound one generation, which at full scale alone outgrows the default
+// budget. The shard count is a power of two so key→shard routing is one
+// fnv hash and a mask; each shard is independently locked, so concurrent
+// hits on different shards never contend. A cache miss runs exactly one
+// fill per key no matter how many requests stampede it: the first caller
+// claims the fill, the rest park on its completion channel and share the
+// bytes (single-flight).
 
 // CacheConfig sizes the response cache.
 type CacheConfig struct {
@@ -29,17 +36,22 @@ type CacheConfig struct {
 // CacheStats is a point-in-time counter snapshot.
 type CacheStats struct {
 	Hits      int64
-	Misses    int64 // requests that found no entry (fills + waits)
+	Misses    int64 // requests that found no entry (fills + waits + served uncached)
 	Fills     int64 // misses that ran the aggregation
 	Waits     int64 // misses that parked on another request's fill
-	Evictions int64
+	Evictions int64 // entries the LRU dropped for the byte budget
+	Purged    int64 // entries dropped because their generation was superseded
 	Entries   int
 	Bytes     int
 }
 
 // cacheEntry is one LRU node.
 type cacheEntry struct {
-	key        string
+	key string
+	// newest is the newest-generation counter of the entry's dataset; it
+	// identifies the dataset without retaining a copy of its name.
+	newest     *atomic.Int64
+	gen        int64
 	body       []byte
 	prev, next *cacheEntry
 }
@@ -62,14 +74,19 @@ type cacheShard struct {
 }
 
 type cache struct {
-	shards    []cacheShard
-	mask      uint32
-	shardMax  int
+	shards   []cacheShard
+	mask     uint32
+	shardMax int
+	// newest maps each dataset to the newest generation a request has
+	// pinned. The map is built once and only read, so the hit path loads
+	// the generation without a lock.
+	newest    map[string]*atomic.Int64
 	hits      atomic.Int64
 	misses    atomic.Int64
 	fills     atomic.Int64
 	waits     atomic.Int64
 	evictions atomic.Int64
+	purged    atomic.Int64
 }
 
 const (
@@ -77,7 +94,9 @@ const (
 	defaultCacheBytes  = 64 << 20
 )
 
-func newCache(cfg CacheConfig) *cache {
+// newCache sizes a cache for the given dataset names. A request for a
+// dataset outside them is never cached.
+func newCache(cfg CacheConfig, datasets []string) *cache {
 	n := cfg.Shards
 	if n <= 0 {
 		n = defaultCacheShards
@@ -95,6 +114,10 @@ func newCache(cfg CacheConfig) *cache {
 		shards:   make([]cacheShard, shards),
 		mask:     uint32(shards - 1),
 		shardMax: total / shards,
+		newest:   make(map[string]*atomic.Int64, len(datasets)),
+	}
+	for _, name := range datasets {
+		c.newest[name] = new(atomic.Int64)
 	}
 	for i := range c.shards {
 		c.shards[i].entries = make(map[string]*cacheEntry)
@@ -113,12 +136,62 @@ func fnv32a(s string) uint32 {
 	return h
 }
 
+// admit reports whether a request pinned on generation gen of dataset
+// may use the cache, advancing the dataset's newest generation when gen
+// is newer. The request that advances it purges the dataset's older
+// entries before it fills. A superseded generation, or a dataset the
+// cache was not built for, counts as a miss and is not admitted: the
+// caller renders its body uncached.
+func (c *cache) admit(dataset string, gen int) bool {
+	newest := c.newest[dataset]
+	if newest == nil {
+		c.misses.Add(1)
+		return false
+	}
+	g := int64(gen)
+	for {
+		cur := newest.Load()
+		switch {
+		case g == cur:
+			return true
+		case g < cur:
+			c.misses.Add(1)
+			return false
+		case newest.CompareAndSwap(cur, g):
+			c.purge(newest, g)
+			return true
+		}
+	}
+}
+
+// purge drops every entry of the dataset whose counter is newest that is
+// older than gen, from every shard. An insert that races it re-checks the
+// newest generation under its shard's lock, so no superseded entry
+// survives the purge.
+func (c *cache) purge(newest *atomic.Int64, gen int64) {
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.Lock()
+		for e := sh.head; e != nil; {
+			next := e.next
+			if e.gen < gen && e.newest == newest {
+				sh.evict(e)
+				c.purged.Add(1)
+			}
+			e = next
+		}
+		sh.mu.Unlock()
+	}
+}
+
 // getOrFill returns the cached body for key, running fill exactly once
-// per key across concurrent callers on a miss. The returned slice is
+// per key across concurrent callers on a miss. key must embed dataset and
+// gen, and the caller must have admitted them. The returned slice is
 // owned by the cache and must be treated as read-only. hit reports
 // whether the bytes came from the cache without running (or waiting on)
-// a fill.
-func (c *cache) getOrFill(key string, fill func() ([]byte, error)) (body []byte, hit bool, err error) {
+// a fill. A fill whose generation was superseded while it ran still
+// answers its callers but is not inserted.
+func (c *cache) getOrFill(dataset string, gen int, key string, fill func() ([]byte, error)) (body []byte, hit bool, err error) {
 	sh := &c.shards[fnv32a(key)&c.mask]
 	sh.mu.Lock()
 	if e := sh.entries[key]; e != nil {
@@ -141,10 +214,11 @@ func (c *cache) getOrFill(key string, fill func() ([]byte, error)) (body []byte,
 	c.fills.Add(1)
 	body, err = fill()
 
+	newest, g := c.newest[dataset], int64(gen)
 	sh.mu.Lock()
 	delete(sh.inflight, key)
-	if err == nil && len(body) <= c.shardMax {
-		sh.insert(&cacheEntry{key: key, body: body})
+	if err == nil && len(body) <= c.shardMax && g >= newest.Load() {
+		sh.insert(&cacheEntry{key: key, newest: newest, gen: g, body: body})
 		for sh.bytes > c.shardMax && sh.tail != nil && sh.tail != sh.head {
 			c.evictions.Add(1)
 			sh.evict(sh.tail)
@@ -221,6 +295,7 @@ func (c *cache) Stats() CacheStats {
 		Fills:     c.fills.Load(),
 		Waits:     c.waits.Load(),
 		Evictions: c.evictions.Load(),
+		Purged:    c.purged.Load(),
 	}
 	for i := range c.shards {
 		sh := &c.shards[i]

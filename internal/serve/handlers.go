@@ -427,6 +427,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	body = strconv.AppendInt(body, st.Waits, 10)
 	body = append(body, `,"evictions":`...)
 	body = strconv.AppendInt(body, st.Evictions, 10)
+	body = append(body, `,"purged":`...)
+	body = strconv.AppendInt(body, st.Purged, 10)
 	body = appendIntField(body, "entries", st.Entries)
 	body = appendIntField(body, "bytes", st.Bytes)
 	body = append(body, `},"rejected":{"query":`...)

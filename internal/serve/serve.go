@@ -9,12 +9,14 @@
 // underneath long-running exports and an old generation is forgotten the
 // moment its last reader releases. A sharded read-through response
 // cache: serialized bodies keyed by normalized query with the pinned
-// generation embedded in the key, so invalidation is free — a patched
-// dataset simply misses under its new generation and the superseded
-// entries age out of the per-shard LRUs. Backpressure: each endpoint
-// class holds a bounded concurrency budget and fast-fails 503 with a
-// Retry-After hint instead of queueing toward collapse, and exports
-// stream through pooled 64 KiB buffers.
+// generation embedded in the key, so a patched dataset simply misses
+// under its new generation. The cache holds only each dataset's newest
+// pinned generation: the first request to pin a newer one purges the
+// superseded entries, which no request could hit again, and a request
+// still pinned on an older generation is served uncached. Backpressure:
+// each endpoint class holds a bounded concurrency budget and fast-fails
+// 503 with a Retry-After hint instead of queueing toward collapse, and
+// exports stream through pooled 64 KiB buffers.
 //
 // Determinism contract: response bodies are built only from the Set's
 // ordered accessors, so for a given (endpoint, dataset generation,
@@ -106,7 +108,7 @@ func New(reg *dataset.Registry, cfg Config) *Server {
 		exportSem: make(chan struct{}, cfg.ExportConcurrency),
 	}
 	if !cfg.CacheDisabled {
-		s.cache = newCache(cfg.Cache)
+		s.cache = newCache(cfg.Cache, reg.Names())
 	}
 	s.bodyPool.New = func() any { b := make([]byte, 0, bodyBufSize); return &b }
 	s.exportPool.New = func() any { b := make([]byte, 0, exportFlushSize+exportBufSlack); return &b }
@@ -253,21 +255,28 @@ func (s *Server) query(w http.ResponseWriter, r *http.Request, endpoint, params 
 	defer pin.Release()
 	set, gen := pin.Set(), pin.Generation()
 
-	if s.cache == nil {
+	if s.cache == nil || !s.cache.admit(name, gen) {
+		// Uncached: the cache is off, or gen is superseded and no later
+		// request could hit its body.
+		state := ""
+		if s.cache != nil {
+			state = "miss"
+		}
 		buf := s.bodyPool.Get().(*[]byte)
 		body, notFound := build(set, name, gen, (*buf)[:0])
 		if notFound != "" {
+			// The builder returned no body: keep the pooled capacity.
 			s.errorJSON(w, http.StatusNotFound, notFound)
 		} else {
-			writeBody(w, body, "")
+			writeBody(w, body, state)
+			*buf = body[:0]
 		}
-		*buf = body[:0]
 		s.bodyPool.Put(buf)
 		return
 	}
 
 	key := endpoint + "|" + name + "|g" + strconv.Itoa(gen) + "|" + params
-	body, hit, err := s.cache.getOrFill(key, func() ([]byte, error) {
+	body, hit, err := s.cache.getOrFill(name, gen, key, func() ([]byte, error) {
 		// The cache retains the filled body, so it is built into a
 		// fresh slice, never a pooled one.
 		b, notFound := build(set, name, gen, nil)

@@ -155,6 +155,38 @@ func TestExportMatchesCorpus(t *testing.T) {
 	}
 }
 
+// TestUncachedNotFoundKeepsPooledBuffer: a builder that answers 404
+// returns no body, and the pooled body buffer must keep its capacity, so
+// a 200 after a 404 costs no more than a 200 after a 200.
+func TestUncachedNotFoundKeepsPooledBuffer(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool items")
+	}
+	s, _ := serveStudy(t)
+	h := serve.New(s.Registry(), serve.Config{CacheDisabled: true}).Handler()
+	serveOne := func(path string, want int) func() {
+		req := httptest.NewRequest(http.MethodGet, path, nil)
+		return func() {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			if rec.Code != want {
+				t.Fatalf("%s: status %d, want %d", path, rec.Code, want)
+			}
+		}
+	}
+	notFound := serveOne("/v1/country?cc=ZZ-nowhere", http.StatusNotFound)
+	ok := serveOne("/v1/countries", http.StatusOK)
+	ok()
+	a404 := testing.AllocsPerRun(50, notFound)
+	a200 := testing.AllocsPerRun(50, ok)
+	pair := testing.AllocsPerRun(50, func() { notFound(); ok() })
+	t.Logf("allocs: 404 %.1f, 200 %.1f, 404 then 200 %.1f", a404, a200, pair)
+	if pair > a404+a200+0.5 {
+		t.Fatalf("a 200 after a 404 allocates %.1f more than a 200 after a 200: the 404 dropped the pooled buffer",
+			pair-a404-a200)
+	}
+}
+
 // TestPageCapNoOverflow: a page cap so large that offset+limit overflows
 // an int lists the same hosts as a cap that just covers the corpus.
 func TestPageCapNoOverflow(t *testing.T) {
@@ -269,9 +301,39 @@ func TestBackpressureFastFail(t *testing.T) {
 	}
 }
 
+// generationStamp returns the generation a response was pinned on: the
+// export's X-Generation header, or the "generation" an aggregate or
+// lookup body opens with. ok is false for a response without one
+// (/v1/datasets reports every dataset's current generation instead).
+func generationStamp(rec *httptest.ResponseRecorder) (gen int, ok bool) {
+	if h := rec.Header().Get("X-Generation"); h != "" {
+		n, err := strconv.Atoi(h)
+		return n, err == nil
+	}
+	body := rec.Body.Bytes()
+	if !bytes.HasPrefix(body, []byte(`{"dataset":`)) {
+		return 0, false
+	}
+	const field = `"generation":`
+	i := bytes.Index(body, []byte(field))
+	if i < 0 {
+		return 0, false
+	}
+	digits := body[i+len(field):]
+	n := 0
+	for n < len(digits) && digits[n] >= '0' && digits[n] <= '9' {
+		n++
+	}
+	g, err := strconv.Atoi(string(digits[:n]))
+	return g, err == nil
+}
+
 // TestServeAgainstLiveApplyDelta hammers every endpoint while a writer
 // loops MarkDirty+Get patch cycles on the same registry — the snapshot
-// isolation race test (meaningful under -race, which CI runs).
+// isolation race test (meaningful under -race, which CI runs). Each
+// reader's pinned generations never go back, every 200 body for one
+// (path, generation) is the same bytes, and once the writer stops the
+// cache holds only final-generation entries.
 func TestServeAgainstLiveApplyDelta(t *testing.T) {
 	s := core.MustNewStudy(world.Config{Seed: 74, Scale: 0.01})
 	ctx := context.Background()
@@ -281,6 +343,24 @@ func TestServeAgainstLiveApplyDelta(t *testing.T) {
 	}
 	srv := serve.New(s.Registry(), serve.Config{})
 	menu := endpointMenu(set)[:13] // the always-200 endpoints
+
+	var mu sync.Mutex
+	seen := map[string][]byte{} // path|generation -> the first 200 body
+	check := func(path string, rec *httptest.ResponseRecorder) (gen int, ok bool) {
+		gen, ok = generationStamp(rec)
+		if !ok {
+			return 0, false
+		}
+		k := path + "|" + strconv.Itoa(gen)
+		mu.Lock()
+		defer mu.Unlock()
+		if prev, dup := seen[k]; !dup {
+			seen[k] = rec.Body.Bytes()
+		} else if !bytes.Equal(prev, rec.Body.Bytes()) {
+			t.Errorf("%s at generation %d: two different 200 bodies", path, gen)
+		}
+		return gen, true
+	}
 
 	dirty := []string{set.At(0).Hostname, set.At(1).Hostname, set.At(2).Hostname}
 	var wg sync.WaitGroup
@@ -299,12 +379,20 @@ func TestServeAgainstLiveApplyDelta(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			last := -1
 			for i := 0; i < 40; i++ {
 				path := menu[(g+i)%len(menu)]
 				rec := get(t, srv.Handler(), path)
 				if rec.Code != http.StatusOK {
 					t.Errorf("%s during ApplyDelta churn: status %d", path, rec.Code)
 					return
+				}
+				if gen, ok := check(path, rec); ok {
+					if gen < last {
+						t.Errorf("%s: generation %d after %d on the same reader", path, gen, last)
+						return
+					}
+					last = gen
 				}
 			}
 		}(g)
@@ -316,6 +404,22 @@ func TestServeAgainstLiveApplyDelta(t *testing.T) {
 		if len(info.Pinned) != 0 {
 			t.Fatalf("dataset %s still has pinned generations after churn: %+v", info.Name, info.Pinned)
 		}
+	}
+
+	// One request per path at the final generation leaves exactly one
+	// entry per cacheable path: every older generation was purged.
+	cacheable := 0
+	for _, path := range menu {
+		rec := get(t, srv.Handler(), path)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s after churn: status %d", path, rec.Code)
+		}
+		if rec.Header().Get("X-Cache") != "" {
+			cacheable++
+		}
+	}
+	if st := srv.CacheStats(); st.Entries != cacheable {
+		t.Fatalf("after churn: %+v, want only the %d final-generation entries", st, cacheable)
 	}
 }
 
